@@ -2,8 +2,7 @@
 
 Rank and nullspace are computed either over the rationals (fraction-free
 elimination on a dense copy, the ground-truth oracle) or over a prime
-field F_p with p an odd prime below 2^31, so that all intermediate
-products fit a 64-bit machine word with delayed reduction.
+field F_p with p an odd prime below 2^31.
 
 Certification: for an integer matrix, the rank mod p never exceeds the
 rational rank (a nonzero minor mod p is nonzero over Z), so modular ranks
@@ -11,11 +10,20 @@ are certified lower bounds.  They become certified exact when they attain
 a structural upper bound -- either min(nrows, ncols) or a cap supplied by
 the caller.  Rational ranks are exact by construction.
 
-The modular engine splits a matrix into connected components of its
-bipartite nonzero pattern, eliminates small components sparsely with
-Markowitz-style pivoting, and runs larger ones through a panel-blocked
-dense echelon whose trailing updates are exact float64 matrix products
-(entries are 16-bit split so every dot product stays below 2^53).
+The modular engine eliminates each connected component of the bipartite
+nonzero pattern on a dense float64 block of balanced residues: blocks of
+at most _BASE rows stacked by shape, larger ones panel by panel (recursive
+Gauss-Jordan of the panel, then elimination from the rows below).
+Reduction x - rint(x/p)*p leaves |x| <= (p+3)/2 <= 2^30 + 1 (the rounded
+quotient may be off by one).  Each update t <- t - C*E (mod p), C with
+k <= _PANEL columns, is one GEMM [C | 2^16*C mod p] @ [E_lo ; E_hi] with
+E = E_lo + 2^16*E_hi, |E_lo| <= 2^15, |E_hi| <= 2^14, so every partial
+sum, and the rint(x/p)*p that reduces it, is an integer below
+
+    (2^30 + 1) * (1 + 3 * k * 2^14) + 2^30  <  2^53     for k <= 170,
+
+exact in float64 for every prime PrimeField accepts.  A component whose
+block and workspace exceed _DENSE_BYTES raises ResourceLimitError first.
 """
 
 from __future__ import annotations
@@ -37,11 +45,10 @@ DEFAULT_ORACLE_CAP = 2000  # max columns for dense rational elimination
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# mod-p engine tuning
-_PANEL = 128               # keeps every blocked dot product exact in float64
-_SPARSE_NNZ = 1500         # components at most this sparse stay on the Markowitz path
-_DENSE_CELLS = 40_000_000  # densification limit (int64 cells)
-_FALLBACK_NNZ = 500_000    # Markowitz fallback limit for oversized components
+# mod-p engine tuning (see the module docstring for the exactness bound)
+_PANEL = 128                # pivot rows per update; the bound allows up to 170
+_BASE = 8                   # recursion leaves, eliminated one row at a time
+_DENSE_BYTES = 400_000_000  # one component's float64 block plus its workspace
 
 
 def is_prime(n: int) -> bool:
@@ -397,9 +404,8 @@ def integer_scaled(vector: Sequence[Fraction]) -> list[int]:
 # modular engine
 
 
-def _components(rows: np.ndarray, cols: np.ndarray, nrows: int) -> list[np.ndarray]:
-    """Indices of triplets grouped by connected component of the nonzero pattern."""
-    n = int(rows.size)
+def _components(rows: np.ndarray, cols: np.ndarray, nrows: int) -> np.ndarray:
+    """Label of each triplet's connected component of the nonzero pattern."""
     parent = {}
 
     def find(x):
@@ -414,149 +420,139 @@ def _components(rows: np.ndarray, cols: np.ndarray, nrows: int) -> list[np.ndarr
         a, b = find(r), find(nrows + c)
         if a != b:
             parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for idx in range(n):
-        groups.setdefault(find(int(rows[idx])), []).append(idx)
-    return [np.asarray(groups[k], dtype=np.int64) for k in sorted(groups)]
+    return np.unique([find(r) for r in rows.tolist()], return_inverse=True)[1]
 
 
-def _markowitz_rank_mod_p(rows, cols, vals, p: int) -> int:
-    """Sparse elimination with Markowitz-style pivoting, deterministic."""
-    rowmap: dict[int, dict[int, int]] = {}
-    colmap: dict[int, set[int]] = {}
-    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        rowmap.setdefault(r, {})[c] = v
-        colmap.setdefault(c, set()).add(r)
+def _local_index(ids: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's row (or column) position within its component, and the count per component."""
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    owner = np.empty(uniq.size, dtype=np.int64)
+    owner[inverse] = comp
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner)
+    local = np.empty(uniq.size, dtype=np.int64)
+    local[order] = np.arange(uniq.size) - (np.cumsum(counts) - counts)[owner[order]]
+    return local[inverse], counts
+
+
+def _reduce(x: np.ndarray, p: int, tmp: np.ndarray) -> None:
+    """x <- x - rint(x/p)*p in place, for integers |x| < 2^53; tmp is scratch shaped like x."""
+    np.multiply(x, 1.0 / p, out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= p
+    x -= tmp
+
+
+def _split(e: np.ndarray) -> np.ndarray:
+    """[E_lo ; E_hi] stacked along the rows, E = E_lo + 2^16*E_hi."""
+    hi = np.rint(e * 2.0**-16)
+    return np.concatenate((e - hi * 2.0**16, hi), axis=-2)
+
+
+def _update(t: np.ndarray, c: np.ndarray, es: np.ndarray, p: int) -> None:
+    """t <- t - c @ e (mod p) in place with one GEMM; es = _split(e), c has at most _PANEL columns."""
+    if not c.any():
+        return  # t is already reduced
+    c2 = c * 2.0**16
+    _reduce(c2, p, np.empty_like(c2))
+    prod = np.concatenate((c, c2), axis=-1) @ es
+    t -= prod
+    _reduce(t, p, prod)
+
+
+def _jordan_base(t: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan, in place, of each block of the stack t (nb x h x n, h <= _BASE);
+    returns each row's pivot column, -1 for a zero row.  The h rank-one updates
+    each add under 3*2^45 to an entry, so reduction waits until the end."""
+    nb, h, _ = t.shape
+    blocks = np.arange(nb)
+    piv = np.empty((nb, h), dtype=np.int64)
+    for i in range(h):
+        row = t[:, i]
+        _reduce(row, p, np.empty_like(row))
+        c = (row != 0).argmax(axis=1)
+        lead = row[blocks, c]
+        coef = []
+        for col, x in zip(t[blocks, :, c].tolist(), lead.tolist()):
+            inv = pow(int(x), -1, p) if x else 0
+            f = [int(y) * inv % p for y in col]
+            f[i] = (1 - inv) % p  # row i itself becomes inv*row
+            coef.extend((y, (y << 16) % p) for y in f)
+        t -= np.array(coef, dtype=np.float64).reshape(nb, h, 2) @ _split(t[:, i:i + 1])
+        piv[:, i] = np.where(lead != 0, c, -1)
+    _reduce(t, p, np.empty_like(t))
+    return piv
+
+
+def _jordan(t: np.ndarray, p: int) -> tuple[int, list[int]]:
+    """Recursive Gauss-Jordan of t in place, each half reduced against the other's echelon
+    rows: returns (r, pivot columns), t[:r] in reduced echelon form, later rows undefined."""
+    if t.shape[0] <= _BASE:
+        piv = _jordan_base(t[None], p)[0]
+        keep = np.flatnonzero(piv >= 0)
+        t[:keep.size] = t[keep]
+        return keep.size, piv[keep].tolist()
+    top, bot = np.split(t, [t.shape[0] // 2])
+    ra, ca = _jordan(top, p)
+    _update(bot, bot[:, ca], _split(top[:ra]), p)
+    rb, cb = _jordan(bot, p)
+    _update(top[:ra], top[:ra, cb], _split(bot[:rb]), p)
+    t[ra:ra + rb] = bot[:rb]
+    return ra + rb, ca + cb
+
+
+def _block_rank(block: np.ndarray, p: int, cap: int) -> int:
+    """Rank of one component's block, stopping once it reaches cap: each panel is put in
+    reduced echelon form, then eliminated from the rows below, 2*_PANEL at a time."""
     rank = 0
-    while colmap:
-        mincnt = min(len(s) for s in colmap.values())
-        best = None
-        for c in sorted(c for c, s in colmap.items() if len(s) == mincnt):
-            for r in sorted(colmap[c]):
-                cost = (len(rowmap[r]) - 1) * (mincnt - 1)
-                cand = (cost, r, c)
-                if best is None or cand < best:
-                    best = cand
-        _, pr, pc = best
-        pivrow = rowmap.pop(pr)
-        inv = pow(pivrow[pc], p - 2, p)
-        for c in pivrow:
-            colmap[c].discard(pr)
-        for r in sorted(colmap[pc]):
-            target = rowmap[r]
-            f = target[pc] * inv % p
-            for c, v in pivrow.items():
-                if c == pc:
-                    continue
-                new = (target.get(c, 0) - f * v) % p
-                if new:
-                    if c not in target:
-                        colmap[c].add(r)
-                    target[c] = new
-                elif c in target:
-                    del target[c]
-                    colmap[c].discard(r)
-            del target[pc]
-            if not target:
-                del rowmap[r]
-        for c in [c for c, s in colmap.items() if not s or c == pc]:
-            colmap.pop(c, None)
-        colmap.pop(pc, None)
-        colmap = {c: s for c, s in colmap.items() if s}
-        rank += 1
+    for i0 in range(0, block.shape[0], _PANEL):
+        panel = block[i0:i0 + _PANEL]
+        r, cols = _jordan(panel, p)
+        rank += r
+        if rank >= cap:
+            break
+        es = _split(panel[:r])
+        for j in range(i0 + _PANEL, block.shape[0], 2 * _PANEL):
+            rows = block[j:j + 2 * _PANEL]
+            _update(rows, rows[:, cols], es, p)
     return rank
 
 
-def _gemm_mod(coef: np.ndarray, e_lo: np.ndarray, e_hi: np.ndarray, p: int) -> np.ndarray:
-    """Exact (coef @ E) mod p via 16-bit split; coef has at most _PANEL columns."""
-    balanced = np.where(coef > p >> 1, coef - p, coef).astype(np.float64)
-    lo = np.asarray(balanced @ e_lo, dtype=np.int64) % p
-    hi = np.asarray(balanced @ e_hi, dtype=np.int64) % p
-    return (lo + hi * (65536 % p)) % p
-
-
-def _panel_jordan(t: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """In-place Gauss-Jordan of a panel; returns (pivot row ids, pivot cols)."""
-    pivrows: list[int] = []
-    pivcols: list[int] = []
-    for i in range(t.shape[0]):
-        nz = t[i].nonzero()[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        inv = pow(int(t[i, c]), p - 2, p)
-        t[i] = t[i] * inv % p
-        colv = t[:, c].copy()
-        colv[i] = 0
-        rnz = colv.nonzero()[0]
-        if rnz.size:
-            t[rnz] -= np.outer(colv[rnz], t[i])
-            t[rnz] %= p
-        pivrows.append(i)
-        pivcols.append(c)
-    return pivrows, pivcols
-
-
-def _dense_rank_batched(get_panel, nrows: int, ncols: int, p: int, cap: int | None) -> int:
-    """Row-fed blocked echelon; trailing updates go through exact float64 GEMMs."""
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    rank = 0
-    limit = min(nrows, ncols) if cap is None else min(cap, nrows, ncols)
-    for i0 in range(0, nrows, _PANEL):
-        t = get_panel(i0, min(i0 + _PANEL, nrows))
-        for pc, e_lo, e_hi in blocks:
-            coef = t[:, pc]
-            if coef.any():
-                t = (t - _gemm_mod(coef, e_lo, e_hi, p)) % p
-        pivrows, pivcols = _panel_jordan(t, p)
-        if pivrows:
-            e = t[pivrows]
-            blocks.append(
-                (
-                    np.asarray(pivcols, dtype=np.int64),
-                    (e & 0xFFFF).astype(np.float64),
-                    (e >> 16).astype(np.float64),
-                )
-            )
-            rank += len(pivrows)
-            if rank >= limit:
-                break
-    return rank
-
-
-def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int | None = None, method: str = "auto") -> int:
+def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int) -> int:
     rows, cols, vals = matrix.reduced_mod(p)
     if rows.size == 0:
         return 0
+    comp = _components(rows, cols, matrix.nrows)
+    lr, nr = _local_index(rows, comp)
+    lc, nc = _local_index(cols, comp)
+    flip = (nr > nc)[comp]  # a block's rows run along its component's shorter side
+    li, lj = np.where(flip, lc, lr), np.where(flip, lr, lc)
+    h, w = np.minimum(nr, nc), np.maximum(nr, nc)
+    big = h > _BASE
+    need = 8 * w * (h + 6 * _PANEL * big)  # block, and for big ones panel split and update scratch
+    if need.max() > _DENSE_BYTES:
+        k = int(need.argmax())
+        raise ResourceLimitError(f"component of shape {nr[k]}x{nc[k]} needs {need[k]} bytes "
+                                 f"for dense elimination, over the budget of {_DENSE_BYTES}")
+    values = (vals - p * (vals > p // 2)).astype(np.float64)
+    # small components are stacked by shape; each large one is eliminated alone
+    ckey = np.where(big, np.arange(h.size) - h.size, h * (int(w.max()) + 1) + w)
+    _, first, count = np.unique(ckey, return_index=True, return_counts=True)
+    buf = np.empty(int((count * h[first] * w[first]).max()))  # reused: no heap churn
+    order = np.argsort(ckey[comp], kind="stable")
     total = 0
-    for idx in _components(rows, cols, matrix.nrows):
-        r, c, v = rows[idx], cols[idx], vals[idx]
-        urows = np.unique(r)
-        ucols = np.unique(c)
-        nr, nc = urows.size, ucols.size
-        use_sparse = method == "sparse" or (method == "auto" and idx.size <= _SPARSE_NNZ)
-        if not use_sparse and nr * nc > _DENSE_CELLS:
-            if idx.size > _FALLBACK_NNZ:
-                raise ResourceLimitError(
-                    f"component of shape {nr}x{nc} with {idx.size} nonzeros "
-                    "exceeds both dense and sparse elimination limits"
-                )
-            use_sparse = True
-        if use_sparse:
-            total += _markowitz_rank_mod_p(r, c, v, p)
-        else:
-            rmap = np.empty(int(urows.max()) + 1, dtype=np.int64)
-            rmap[urows] = np.arange(nr)
-            cmap = np.empty(int(ucols.max()) + 1, dtype=np.int64)
-            cmap[ucols] = np.arange(nc)
-            dense = np.zeros((nr, nc), dtype=np.int64)
-            dense[rmap[r], cmap[c]] = v
-            local_cap = None if cap is None else max(0, cap - total)
-            total += _dense_rank_batched(
-                lambda a, b: dense[a:b].copy(), nr, nc, p, local_cap
-            )
-        if cap is not None and total >= cap:
+    for sel in np.split(order, np.flatnonzero(np.diff(ckey[comp[order]])) + 1):
+        if total >= cap:
             break
+        batch, slot = np.unique(comp[sel], return_inverse=True)
+        shape = (batch.size, h[batch[0]], w[batch[0]])
+        stack = buf[:np.prod(shape)].reshape(shape)
+        stack.fill(0)
+        stack[slot, li[sel], lj[sel]] = values[sel]
+        if big[batch[0]]:
+            total += _block_rank(stack[0], p, cap - total)
+        else:
+            total += int(np.count_nonzero(_jordan_base(stack, p) >= 0))
     return total
 
 
@@ -585,7 +581,6 @@ def rank(
     structural_bound: int | None = None,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     cache: "RankCache | None" = None,
-    method: str = "auto",
 ) -> RankCertificate:
     """Rank certificate for ``matrix`` over the given field.
 
@@ -609,7 +604,7 @@ def rank(
         cap = min(matrix.nrows, matrix.ncols)
         if structural_bound is not None:
             cap = min(cap, structural_bound)
-        value = _rank_mod_p(matrix, fieldspec.p, cap=cap, method=method)
+        value = _rank_mod_p(matrix, fieldspec.p, cap)
     if structural_bound is not None and value > structural_bound:
         raise InvalidInputError(
             f"computed rank {value} exceeds declared structural bound "
@@ -717,13 +712,13 @@ class RankCache:
         if self._mem is None:
             self._mem = {}
             if os.path.exists(self.path):
-                with open(self.path, "r", encoding="utf-8") as fh:
+                with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                     for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        record = json.loads(line)
-                        self._mem[record["key"]] = int(record["rank"])
+                        try:
+                            record = json.loads(line)
+                            self._mem[record["key"]] = int(record["rank"])
+                        except (ValueError, KeyError, TypeError):
+                            continue  # a torn or foreign line is a miss
         return self._mem
 
     def get(self, key: str) -> int | None:
@@ -734,5 +729,10 @@ class RankCache:
         if mem.get(key) == value:
             return
         mem[key] = value
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": key, "rank": value}) + "\n")
+        record = json.dumps({"key": key, "rank": value}) + "\n"
+        with open(self.path, "ab+") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    record = "\n" + record  # never glue onto a torn last line
+            fh.write(record.encode())

@@ -196,7 +196,8 @@ def resonance_vanishes(
     (default primes, then the rational oracle under the size cap) is used;
     if nothing certifies, the verdict is flagged heuristic.  For n >= 4
     and a small annihilator the exact pencil oracle is consulted to attach
-    a witness to negative verdicts.
+    a witness to negative verdicts; the witness, a decomposable form in
+    K-perp checked exactly, proves nonvanishing on its own.
     """
     n = subspace.n
     if n < 3:
@@ -217,7 +218,7 @@ def resonance_vanishes(
         n - 3,
         res.dim,
         res.certificate,
-        heuristic=not res.certified,
+        heuristic=not res.certified and witness is None,
         model_only=isinstance(subspace.field, PrimeField),
         witness=witness,
     )

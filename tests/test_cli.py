@@ -154,3 +154,29 @@ def test_cache_flag(tmp_path, capsys):
     assert (cachedir / "rank-cache.jsonl").exists()
     code2, out2, _ = run(capsys, args)
     assert out1 == out2
+
+
+def test_truncated_cache_line_is_a_miss(capsys, tmp_path):
+    argv = ["hilbert", "--weyman", "5", "--format", "json", "--cache", str(tmp_path)]
+    code, clean, _ = run(capsys, argv)
+    assert code == 0
+    path = tmp_path / "rank-cache.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:-20])  # a killed run leaves a torn last line
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and out == clean
+    size = path.stat().st_size
+    code, out, _ = run(capsys, argv)  # every rank now hits the cache
+    assert code == 0 and out == clean
+    assert path.stat().st_size == size
+
+
+def test_over_budget_component_exits_1(capsys, monkeypatch):
+    import koszul.linalg
+
+    monkeypatch.setattr(koszul.linalg, "_DENSE_BYTES", 1_000_000)
+    code, out, err = run(capsys, ["hilbert", "--random", "7", "11", "5", "--q-max", "4", "--format", "json"])
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ResourceLimitError"

@@ -1,9 +1,11 @@
 """Exact linear algebra: certificates, modular vs rational ranks, nullspaces."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from _oracles import gauss_rank_mod_p, gauss_rank_rational, mat_vec
@@ -96,22 +98,181 @@ def test_rank_against_oracle_both_fields():
         assert rank(m.transpose(), Rational()).rank == expected_q
 
 
-def test_sparse_and_dense_paths_agree():
+def test_modular_rank_matches_oracle_sparse():
+    # sparse patterns: many components of every size, small ones stacked
     p = DEFAULT_PRIMES[0]
     for seed in range(8):
         m = random_sparse(30, 40, 0.15, seed + 100)
-        a = rank(m, PrimeField(p), method="sparse").rank
-        b = rank(m, PrimeField(p), method="dense").rank
-        assert a == b == gauss_rank_mod_p(m.to_dense_rows(), p)
+        assert rank(m, PrimeField(p)).rank == gauss_rank_mod_p(m.to_dense_rows(), p)
 
 
-def test_batched_dense_path_large():
-    # force the panel-blocked GEMM path across several panels
+def test_modular_rank_matches_oracle_many_panels():
+    # one component whose shorter side spans two panels of the blocked engine
     p = DEFAULT_PRIMES[0]
-    m = random_sparse(300, 260, 0.25, 7)
-    sparse_val = rank(m, PrimeField(p), method="sparse").rank
-    dense_val = rank(m, PrimeField(p), method="dense").rank
-    assert sparse_val == dense_val
+    m = random_sparse(150, 140, 0.25, 7)
+    assert rank(m, PrimeField(p)).rank == gauss_rank_mod_p(m.to_dense_rows(), p)
+
+
+def extreme_matrix(p, nrows, ncols, seed):
+    """Every entry +-(p-1)/2, the largest balanced residue mod p."""
+    rng = random.Random(seed)
+    h = (p - 1) // 2
+    return [[rng.choice((h, -h)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def shuffled(dense, seed):
+    rng = random.Random(seed)
+    rows = [row[:] for row in dense]
+    rng.shuffle(rows)
+    perm = list(range(len(rows[0])))
+    rng.shuffle(perm)
+    return [[row[j] for j in perm] for row in rows]
+
+
+def from_dense(dense):
+    return SparseMatrix(
+        len(dense), len(dense[0]), [(i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+    )
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
+def test_modular_rank_extreme_residues(p):
+    # against the oracle: dependent rows are negated copies, so the
+    # elimination meets (p-1)/2 magnitudes throughout
+    dense = extreme_matrix(p, 60, 80, 1)
+    dense += [[-v for v in dense[i]] for i in range(0, 60, 4)]
+    dense = shuffled(dense, 2)
+    assert rank(from_dense(dense), PrimeField(p)).rank == gauss_rank_mod_p(dense, p)
+    # several full panels, rank known by construction: upper triangular
+    # rows with (p-1)/2 on the diagonal, 20 rows cleared, 40 negated copies
+    n, h = 300, (p - 1) // 2
+    upper = extreme_matrix(p, n, n, 3)
+    for i in range(n):
+        upper[i][:i] = [0] * i
+        upper[i][i] = h
+    for i in range(0, n, 15):
+        upper[i] = [0] * n
+    upper += [[-v for v in upper[i]] for i in range(1, 2 * 40, 2)]
+    assert rank(from_dense(shuffled(upper, 4)), PrimeField(p)).rank == n - 20
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629, 65537, 3])
+def test_update_exact_at_worst_case_magnitudes(p):
+    import koszul.linalg as linalg
+
+    # one update with _PANEL identical pivot rows, so every output is a
+    # sum of _PANEL equal terms: multipliers c near (p-1)/2 whose shifted
+    # copy 2^16*c mod p is also near +-(p-1)/2, against entries whose
+    # split halves take every low residue mod 2^16
+    def bal(x):
+        x %= p
+        return x - p if x > p // 2 else x
+
+    h = (p - 1) // 2
+    coefs = {h, -h}
+    for sign in (1, -1):
+        best = max(range(h, max(h - 70_000, 0), -1), key=lambda c: sign * bal(c << 16))
+        coefs |= {best, -best}
+    entries = sorted({bal(h - j) for j in range(0, 65_536, 257)} | {bal(j - h) for j in range(0, 65_536, 257)})
+    k = linalg._PANEL
+    c = np.array([[v] * k for v in sorted(coefs)], dtype=np.float64)
+    e = np.array([entries] * k, dtype=np.float64)
+    t = np.zeros((len(coefs), len(entries)))
+    linalg._update(t, c, linalg._split(e), p)
+    assert np.abs(t).max() <= (p + 3) // 2
+    expected = [[-k * a * b % p for b in entries] for a in sorted(coefs)]
+    assert [[int(v) % p for v in row] for row in t.tolist()] == expected
+
+
+@pytest.mark.parametrize("p", [3, 65521, 65537])
+def test_modular_rank_small_and_16bit_primes(p):
+    for seed in range(4):
+        m = random_sparse(40, 50, 0.3, seed + 600, lo=-10**6, hi=10**6)
+        assert rank(m, PrimeField(p)).rank == gauss_rank_mod_p(m.to_dense_rows(), p)
+
+
+def test_modular_rank_deficient_with_zero_columns():
+    rng = random.Random(11)
+    x = [[rng.randint(-5, 5) for _ in range(12)] for _ in range(50)]
+    y = [[rng.randint(-5, 5) for _ in range(45)] for _ in range(12)]
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+    # zero columns and a zero row interleaved with the product's
+    dense = [[v for j, v in enumerate(row) for v in ((v, 0) if j % 5 == 0 else (v,))] for row in product]
+    dense.insert(7, [0] * len(dense[0]))
+    for p in (DEFAULT_PRIMES[0], 65537, 3):
+        got = rank(from_dense(dense), PrimeField(p)).rank
+        assert got == gauss_rank_mod_p(dense, p) and got <= 12
+
+
+def test_structural_bound_stops_elimination_early(monkeypatch):
+    import koszul.linalg as linalg
+
+    # rank 100 by construction: independent triangular rows first, then
+    # negated copies, so the first panel already reaches the rank
+    rng = random.Random(5)
+    n, r = 300, 100
+    top = [[0] * i + [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - i - 1)] for i in range(r)]
+    m = from_dense(top + [[-v for v in top[i % r]] for i in range(n - r)])
+    calls = []
+    inner = linalg._jordan
+
+    def counting(t, p):
+        calls.append(t.shape[0])
+        return inner(t, p)
+
+    monkeypatch.setattr(linalg, "_jordan", counting)
+    field = PrimeField(DEFAULT_PRIMES[0])
+    capped = rank(m, field, structural_bound=r)
+    capped_calls = len(calls)
+    full = rank(m, field)
+    assert capped.rank == full.rank == r
+    assert capped.certified_exact and not full.certified_exact
+    assert 0 < capped_calls < len(calls) - capped_calls
+
+
+def test_modular_rank_many_components():
+    # block diagonal, shuffled: stacked small blocks of equal shape, single
+    # rows and columns, and blocks large enough for the panel engine
+    rng = random.Random(21)
+    p = DEFAULT_PRIMES[1]
+    shapes = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (8, 9), (9, 8), (8, 8), (12, 15), (15, 12), (30, 20)]
+    blocks = []
+    for shape in shapes * 3:
+        dense = random_sparse(*shape, 0.7, rng.randrange(10**6)).to_dense_rows()
+        if any(any(row) for row in dense):
+            blocks.append(dense)
+    nrows = sum(len(b) for b in blocks) + 3  # plus empty rows and columns
+    ncols = sum(len(b[0]) for b in blocks) + 4
+    rperm, cperm = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    triplets, r0, c0 = [], 0, 0
+    for b in blocks:
+        triplets += [(rperm[r0 + i], cperm[c0 + j], v) for i, row in enumerate(b) for j, v in enumerate(row) if v]
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    expected = sum(gauss_rank_mod_p(b, p) for b in blocks)
+    assert rank(SparseMatrix(nrows, ncols, triplets), PrimeField(p)).rank == expected
+
+
+def test_over_budget_component_fails_fast():
+    import tracemalloc
+
+    # arrow: one full row and one full column make a single n x n component
+    # with 2n - 1 nonzeros, whose dense block would need over 3 GB
+    n = 20_000
+    idx = np.arange(1, n)
+    rows = np.concatenate(([0], np.zeros(n - 1, dtype=np.int64), idx))
+    cols = np.concatenate(([0], idx, np.zeros(n - 1, dtype=np.int64)))
+    m = SparseMatrix.from_arrays(n, n, rows, cols, np.ones(2 * n - 1, dtype=np.int64))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError):
+            rank(m, PrimeField(DEFAULT_PRIMES[0]))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 50 * 2**20
 
 
 def test_modular_rank_is_lower_bound():
