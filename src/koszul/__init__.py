@@ -49,6 +49,8 @@ from .linalg import (
     RankCertificate,
     Rational,
     SparseMatrix,
+    annihilates,
+    certified_rank,
     is_prime,
     multi_prime_rank,
     nullspace,

@@ -47,6 +47,7 @@ from .subspaces import (
     heisenberg_K,
     heisenberg_symplectic_form,
     random_K,
+    subspace_from_rows,
     weyman_K,
     zero_K,
 )
@@ -406,6 +407,26 @@ def _selfcheck_cases():
             omega = heisenberg_symplectic_form(k)
             assert any(wedge_square(omega, 2 * k)), k
 
+    def kernel_certificates():
+        from .bases import pair_rank
+        from .hilbert import restricted_delta2
+        from .linalg import annihilates, nullspace
+
+        # hyperplane K with K-perp = <e0^e1>: resonance does not vanish and
+        # dim W_q = q + 1; every rank-deficient degree is kernel-certified
+        n, width, skip = 6, _comb(6, 2), pair_rank(0, 1)
+        K = subspace_from_rows(n, [[int(i == j) for i in range(width)] for j in range(width) if j != skip])
+        prof = hilbert_profile(K)
+        assert prof.dims() == [q + 1 for q in range(n - 2)], prof.dims()
+        assert all(r.certified for r in prof.records)
+        assert [r.certificate.mode for r in prof.records[1:]] == ["kernel-verified"] * (n - 3)
+        # the exact check behind the certificate refuses a tampered vector
+        matrix = restricted_delta2(K, 1)
+        kernel = nullspace(matrix, Rational())
+        assert kernel and annihilates(matrix, kernel)
+        kernel[0][0] += 1  # column 0 is nonzero
+        assert not annihilates(matrix, kernel)
+
     def degree_zero_anchor():
         for seed in range(6):
             n = 4 + seed % 2
@@ -423,6 +444,7 @@ def _selfcheck_cases():
         ("borderline profiles attain the bound", borderline_profiles),
         ("Heisenberg vanishing and wedge-square", heisenberg_vanishing),
         ("degree-zero anchor", degree_zero_anchor),
+        ("kernel certificates (hyperplane K, n=6)", kernel_certificates),
     ]
 
 

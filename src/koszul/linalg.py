@@ -8,12 +8,19 @@ Certification: for an integer matrix, the rank mod p never exceeds the
 rational rank (a nonzero minor mod p is nonzero over Z), so modular ranks
 are certified lower bounds.  They become certified exact when they attain
 a structural upper bound -- either min(nrows, ncols) or a cap supplied by
-the caller.  Rational ranks are exact by construction.
+the caller.  Rational ranks are exact by construction.  When the modular
+rank r falls short of the bound, :func:`certified_rank` proves the matching
+upper bound instead: it lifts one kernel vector per free column of the
+reduced echelon form mod p to Z (rational reconstruction, CRT over more
+primes while the Hadamard bound allows) and checks each exactly against
+the integer triplets.  The vectors are independent (the identity on the
+free columns), so r <= rank over Q <= r.
 
 The modular engine eliminates each connected component of the bipartite
 nonzero pattern on a dense float64 block of balanced residues: blocks of
 at most _BASE rows stacked by shape, larger ones panel by panel (recursive
-Gauss-Jordan of the panel, then elimination from the rows below).
+Gauss-Jordan of the panel, then elimination from the rows below, and for
+the reduced echelon form from the pivot rows above).
 Reduction x - rint(x/p)*p leaves |x| <= (p+3)/2 <= 2^30 + 1 (the rounded
 quotient may be off by one).  Each update t <- t - C*E (mod p), C with
 k <= _PANEL columns, is one GEMM [C | 2^16*C mod p] @ [E_lo ; E_hi] with
@@ -31,9 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, log2
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -118,25 +125,37 @@ def field_from_json(data) -> FieldSpec:
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """A rank value together with how it was obtained and what it proves."""
+    """A rank value together with how it was obtained and what it proves.
+
+    A "kernel-verified" rank is a modular rank whose upper bound is proved
+    by ``verified_vectors`` kernel vectors checked exactly over Z; its
+    primes are the reference prime followed by those the lift used.
+    ``lift_failed`` marks a certificate reached after such a lift failed.
+    """
 
     rank: int
-    mode: str  # "rational-exact" | "single-prime" | "multi-prime"
+    mode: str  # "rational-exact" | "single-prime" | "multi-prime" | "kernel-verified"
     primes: tuple[int, ...] = ()
     certified_lower_bound: bool = True
     certified_exact: bool = False
     structural_bound: int | None = None
+    verified_vectors: int = 0
+    lift_failed: bool = False
 
     def __post_init__(self):
         if self.mode == "rational-exact" and not self.certified_exact:
             raise InvalidInputError("rational-exact certificates are always exact")
         if self.certified_exact and not self.certified_lower_bound:
             raise InvalidInputError("exact implies lower bound")
-        if self.mode in ("single-prime", "multi-prime") and not self.primes:
+        if self.mode in ("single-prime", "multi-prime", "kernel-verified") and not self.primes:
             raise InvalidInputError("modular certificate without primes")
+        if self.verified_vectors and self.mode != "kernel-verified":
+            raise InvalidInputError("verified kernel vectors belong to kernel-verified certificates")
+        if self.mode == "kernel-verified" and not self.certified_exact:
+            raise InvalidInputError("kernel-verified certificates are always exact")
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "rank": self.rank,
             "mode": self.mode,
             "primes": list(self.primes),
@@ -144,6 +163,11 @@ class RankCertificate:
             "certified_exact": self.certified_exact,
             "structural_bound": self.structural_bound,
         }
+        if self.mode == "kernel-verified":
+            out["verified_vectors"] = self.verified_vectors
+        if self.lift_failed:
+            out["lift_failed"] = True
+        return out
 
     @staticmethod
     def from_json(data: dict) -> "RankCertificate":
@@ -154,6 +178,8 @@ class RankCertificate:
             certified_lower_bound=bool(data["certified_lower_bound"]),
             certified_exact=bool(data["certified_exact"]),
             structural_bound=data.get("structural_bound"),
+            verified_vectors=int(data.get("verified_vectors", 0)),
+            lift_failed=bool(data.get("lift_failed", False)),
         )
 
 
@@ -194,15 +220,22 @@ class SparseMatrix:
 
     @staticmethod
     def from_arrays(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SparseMatrix":
-        """Fast construction from parallel int64 arrays (still validated)."""
+        """Fast construction from parallel arrays (still validated); ``vals`` is
+        int64, or an object array of Python ints when some do not fit int64."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.int64)
+        vals = np.asarray(vals)
         if rows.size:
             if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
                 raise InvalidInputError("entry out of range")
             if not vals.all():
                 raise InvalidInputError("explicit zero entry")
+        if vals.dtype != object:
+            vals = vals.astype(np.int64)
+        elif all(abs(v) < 2**62 for v in vals.tolist()):
+            vals = vals.astype(np.int64)
+        else:
+            vals = [int(v) for v in vals.tolist()]
         m = SparseMatrix(nrows, ncols, _raw=(rows, cols, vals))
         m._check_duplicates()
         return m
@@ -501,59 +534,310 @@ def _jordan(t: np.ndarray, p: int) -> tuple[int, list[int]]:
     return ra + rb, ca + cb
 
 
-def _block_rank(block: np.ndarray, p: int, cap: int) -> int:
-    """Rank of one component's block, stopping once it reaches cap: each panel is put in
-    reduced echelon form, then eliminated from the rows below, 2*_PANEL at a time."""
-    rank = 0
+def _eliminate(rows: np.ndarray, cols: list[int], es: np.ndarray, p: int) -> None:
+    """Clear the pivot columns cols from rows, 2*_PANEL rows per update; es = _split(pivot rows)."""
+    for j in range(0, rows.shape[0], 2 * _PANEL):
+        t = rows[j:j + 2 * _PANEL]
+        _update(t, t[:, cols], es, p)
+
+
+def _block_rank(block: np.ndarray, p: int, cap: int, reduced: bool = False) -> tuple[int, list[int]]:
+    """Rank and pivot columns of one component's block, stopping once the rank reaches cap:
+    each panel is put in reduced echelon form, then eliminated from the rows below.  With
+    ``reduced`` the pivot rows are gathered in block[:rank] and each panel is eliminated
+    from the pivot rows above too, which leaves block[:rank] in reduced echelon form."""
+    rank, pivots = 0, []
     for i0 in range(0, block.shape[0], _PANEL):
-        panel = block[i0:i0 + _PANEL]
-        r, cols = _jordan(panel, p)
+        r, cols = _jordan(block[i0:i0 + _PANEL], p)
+        top = i0  # where the panel's pivot rows sit
+        if reduced:  # gather them, then clear their columns above
+            top = rank
+            block[top:top + r] = block[i0:i0 + r]
+            _eliminate(block[:top], cols, _split(block[top:top + r]), p)
         rank += r
+        pivots += cols
         if rank >= cap:
             break
-        es = _split(panel[:r])
-        for j in range(i0 + _PANEL, block.shape[0], 2 * _PANEL):
-            rows = block[j:j + 2 * _PANEL]
-            _update(rows, rows[:, cols], es, p)
-    return rank
+        # named so that it lives through the next panel: freed at once, it made the
+        # later _split calls 40 % slower on one large component (the allocator)
+        es = _split(block[top:top + r])
+        _eliminate(block[i0 + _PANEL:], cols, es, p)
+    return rank, pivots
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each triplet sits in the dense block of its connected component.
+
+    A block's rows run along its component's shorter side, so the block of
+    a component with more rows than columns is its transpose.
+    """
+
+    comp: np.ndarray  # component of each triplet
+    li: np.ndarray  # block row of each triplet
+    lj: np.ndarray  # block column of each triplet
+    h: np.ndarray  # block rows per component
+    w: np.ndarray  # block columns per component
+
+
+def _layout(rows: np.ndarray, cols: np.ndarray, nrows: int) -> _Layout:
+    """Component blocks of a nonzero pattern; raises ResourceLimitError before any
+    allocation when one block and its workspace would exceed _DENSE_BYTES."""
+    comp = _components(rows, cols, nrows)
+    lr, nr = _local_index(rows, comp)
+    lc, nc = _local_index(cols, comp)
+    h, w = np.minimum(nr, nc), np.maximum(nr, nc)
+    need = 8 * w * (h + 6 * _PANEL * (h > _BASE))  # block, and for big ones panel split and update scratch
+    if need.max() > _DENSE_BYTES:
+        k = int(need.argmax())
+        raise ResourceLimitError(f"component of shape {nr[k]}x{nc[k]} needs {need[k]} bytes "
+                                 f"for dense elimination, over the budget of {_DENSE_BYTES}")
+    flip = (nr > nc)[comp]
+    return _Layout(comp, np.where(flip, lc, lr), np.where(flip, lr, lc), h, w)
+
+
+def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray | None = None):
+    """Yield (components, stack) for the selected components (all by default): small
+    blocks stacked by shape, each block of more than _BASE rows alone.  Every stack
+    lives in one reused buffer, so it is valid only until the next one is yielded."""
+    comp, li, lj, h, w = lay.comp, lay.li, lay.lj, lay.h, lay.w
+    present = np.arange(h.size)
+    if select is not None:
+        keep = select[comp]
+        comp, li, lj, values = comp[keep], li[keep], lj[keep], values[keep]
+        present = np.flatnonzero(select)
+    ckey = np.where(h > _BASE, np.arange(h.size) - h.size, h * (int(w.max()) + 1) + w)
+    _, first, count = np.unique(ckey[present], return_index=True, return_counts=True)
+    first = present[first]
+    buf = np.empty(int((count * h[first] * w[first]).max()))  # reused: no heap churn
+    order = np.argsort(ckey[comp], kind="stable")
+    for sel in np.split(order, np.flatnonzero(np.diff(ckey[comp[order]])) + 1):
+        batch, slot = np.unique(comp[sel], return_inverse=True)
+        shape = (batch.size, h[batch[0]], w[batch[0]])
+        stack = buf[:np.prod(shape)].reshape(shape)
+        stack.fill(0)
+        stack[slot, li[sel], lj[sel]] = values[sel]
+        yield batch, stack
+
+
+def _balanced(vals: np.ndarray, p: int) -> np.ndarray:
+    """Residues in [0, p) as float64 balanced residues."""
+    return (vals - p * (vals > p // 2)).astype(np.float64)
 
 
 def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int) -> int:
     rows, cols, vals = matrix.reduced_mod(p)
     if rows.size == 0:
         return 0
-    comp = _components(rows, cols, matrix.nrows)
-    lr, nr = _local_index(rows, comp)
-    lc, nc = _local_index(cols, comp)
-    flip = (nr > nc)[comp]  # a block's rows run along its component's shorter side
-    li, lj = np.where(flip, lc, lr), np.where(flip, lr, lc)
-    h, w = np.minimum(nr, nc), np.maximum(nr, nc)
-    big = h > _BASE
-    need = 8 * w * (h + 6 * _PANEL * big)  # block, and for big ones panel split and update scratch
-    if need.max() > _DENSE_BYTES:
-        k = int(need.argmax())
-        raise ResourceLimitError(f"component of shape {nr[k]}x{nc[k]} needs {need[k]} bytes "
-                                 f"for dense elimination, over the budget of {_DENSE_BYTES}")
-    values = (vals - p * (vals > p // 2)).astype(np.float64)
-    # small components are stacked by shape; each large one is eliminated alone
-    ckey = np.where(big, np.arange(h.size) - h.size, h * (int(w.max()) + 1) + w)
-    _, first, count = np.unique(ckey, return_index=True, return_counts=True)
-    buf = np.empty(int((count * h[first] * w[first]).max()))  # reused: no heap churn
-    order = np.argsort(ckey[comp], kind="stable")
     total = 0
-    for sel in np.split(order, np.flatnonzero(np.diff(ckey[comp[order]])) + 1):
+    for _, stack in _stacks(_layout(rows, cols, matrix.nrows), _balanced(vals, p)):
         if total >= cap:
             break
-        batch, slot = np.unique(comp[sel], return_inverse=True)
-        shape = (batch.size, h[batch[0]], w[batch[0]])
-        stack = buf[:np.prod(shape)].reshape(shape)
-        stack.fill(0)
-        stack[slot, li[sel], lj[sel]] = values[sel]
-        if big[batch[0]]:
-            total += _block_rank(stack[0], p, cap - total)
+        if stack.shape[1] > _BASE:
+            total += _block_rank(stack[0], p, cap - total)[0]
         else:
             total += int(np.count_nonzero(_jordan_base(stack, p) >= 0))
     return total
+
+
+# ---------------------------------------------------------------------------
+# kernel certificate
+
+
+def _lift_primes(given: Sequence[int]):
+    """The given primes, then the remaining primes below 2^31 in descending order."""
+    seen = []
+    for p in given:
+        if p not in seen:
+            seen.append(p)
+            yield p
+    for p in range(2**31 - 1, 2, -2):
+        if p not in seen and is_prime(p):
+            yield p
+
+
+def _echelons(lay: _Layout, vals: np.ndarray, p: int, select: np.ndarray | None = None) -> dict:
+    """Per selected component: the pivot columns of its block's reduced echelon form mod p
+    and, when they are fewer than the block's rows, its pivot rows as residues in [0, p)."""
+    out = {}
+    residues = np.asarray(vals % p, dtype=np.int64)
+    for batch, stack in _stacks(lay, _balanced(residues, p), select):
+        if stack.shape[1] > _BASE:
+            r, piv = _block_rank(stack[0], p, stack.shape[1], reduced=True)
+            found = [(batch[0], piv, stack[0, :r])]
+        else:
+            piv = _jordan_base(stack, p)
+            found = [(c, piv[b][piv[b] >= 0].tolist(), stack[b][piv[b] >= 0]) for b, c in enumerate(batch)]
+        for c, cols, rows in found:
+            deficient = len(cols) < stack.shape[1]
+            out[int(c)] = (tuple(cols), rows.astype(np.int64) % p if deficient else None)
+    return out
+
+
+def _ratrecon(u: int, m: int, bound: int) -> int | None:
+    """Denominator d <= bound of a fraction n/d = u (mod m) with |n| <= bound, or None;
+    unique when 2*bound^2 < m (the extended Euclidean algorithm stopped at bound)."""
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return abs(s1) if 0 < abs(s1) <= bound else None
+
+
+def _lift(residues: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Integer vectors from rational ones known mod ``modulus``, one per column of
+    ``residues``: a common denominator ``den`` per column and the numerators
+    residues*den (mod modulus), all at most sqrt(modulus/2) in size, or None when
+    rational reconstruction finds no such fractions."""
+    bound = isqrt((modulus - 1) // 2)
+    half = modulus // 2
+    den = [1] * residues.shape[1]
+    for i, k in zip(*np.nonzero(np.abs(np.where(residues > half, residues - modulus, residues)) > bound)):
+        x = int(residues[i, k]) * den[k] % modulus
+        if min(x, modulus - x) <= bound:
+            continue
+        d = _ratrecon(x, modulus, bound)
+        if d is None or den[k] * d > bound:
+            return None
+        den[k] *= d
+    den = np.array(den, dtype=object)
+    num = residues.astype(object) * den % modulus
+    num = np.where(num > half, num - modulus, num)
+    if num.size and np.abs(num).max() > bound:
+        return None
+    return den, num
+
+
+def _annihilates(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nrows: int, vectors: np.ndarray) -> bool:
+    """Whether the nrows-row integer matrix with entries vals at (rows, cols) maps every
+    row of ``vectors`` to zero, exactly over Z (int64 only where no sum can overflow)."""
+    if not vectors.size or not vals.size:
+        return True
+    worst = int(np.abs(vals).max()) * int(np.abs(vectors).max()) * int(np.bincount(rows).max())
+    dtype = np.int64 if worst < 2**63 else object
+    prod = vals.astype(dtype)[:, None] * vectors.astype(dtype).T[cols]
+    out = np.zeros((nrows, vectors.shape[0]), dtype=dtype)
+    np.add.at(out, rows, prod)
+    return not out.any()
+
+
+def _hadamard_log2(lay: _Layout, vals: np.ndarray) -> np.ndarray:
+    """Per component, log2 of a bound on every minor of its block: the product over
+    the block's rows of sqrt(number of entries) * largest magnitude."""
+    if vals.dtype == object:
+        mag = np.array([log2(abs(v)) for v in vals.tolist()])
+    else:
+        mag = np.log2(np.abs(vals).astype(np.float64))
+    _, row, count = np.unique(lay.comp * int(lay.h.max()) + lay.li, return_inverse=True, return_counts=True)
+    widest = np.zeros(count.size)
+    np.maximum.at(widest, row, mag)
+    row_comp = np.empty(count.size, dtype=np.int64)
+    row_comp[row] = lay.comp
+    return np.bincount(row_comp, weights=0.5 * np.log2(count) + widest, minlength=lay.h.size)
+
+
+class _KernelLift:
+    """The kernel vectors of one rank-deficient block, known modulo a growing product of
+    primes: per free column, its entries at the pivot columns (minus the reduced echelon
+    form's column) as residues."""
+
+    def __init__(self, cols: tuple, rows: np.ndarray, width: int, p: int):
+        self.cols, self.width = cols, width
+        free = np.ones(width, dtype=bool)
+        free[list(cols)] = False
+        self.free = np.flatnonzero(free)
+        self.residues = (-rows[:, self.free]) % p
+        self.modulus = p
+        self.skipped = 0  # primes whose pivot columns differ
+        self.last = None  # the previous lift
+
+    def basis(self) -> np.ndarray | None:
+        """Integer kernel candidates, one row per free column, or None while rational
+        reconstruction fails; the free columns carry the common denominators."""
+        lifted = _lift(self.residues, self.modulus)
+        if lifted is None:
+            return None
+        out = np.zeros((self.free.size, self.width), dtype=object)
+        out[:, list(self.cols)] = lifted[1].T
+        out[np.arange(self.free.size), self.free] = lifted[0]
+        return out
+
+    def absorb(self, cols: tuple, rows: np.ndarray, p: int) -> bool:
+        """Combine by CRT with the reduced echelon form mod p; False (and the prime is
+        skipped) when its pivot columns differ."""
+        if cols != self.cols:
+            self.skipped += 1
+            return False
+        new = (-rows[:, self.free]) % p
+        old = self.residues
+        t = (new - np.asarray(old % p, dtype=np.int64)) % p * pow(self.modulus % p, -1, p) % p
+        self.residues = old.astype(object) + t.astype(object) * self.modulus
+        self.modulus *= p
+        return True
+
+
+def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequence[int]) -> RankCertificate | None:
+    """Rank certified by kernel vectors verified over Z, or None when the lift fails.
+
+    Blocks come from the exact nonzero pattern, so an entry that vanishes mod p
+    stays in its block as a zero.  Each block short of full row rank mod the first
+    prime gets one kernel vector per free column of its reduced echelon form; the
+    entries are lifted by rational reconstruction, adding primes by CRT, until the
+    vectors annihilate the block's exact triplets.  The lift fails when a later
+    prime finds a larger rank, when several primes disagree on the pivot columns,
+    when the lifted vectors stop changing, or when the modulus passes twice the
+    square of the block's Hadamard bound.  The rank is never taken from a cache.
+    """
+    exact = matrix.cleared_to_integers()
+    vals = exact.vals if isinstance(exact.vals, np.ndarray) else np.array(exact.vals, dtype=object)
+    gen = _lift_primes(primes)
+    used = [next(gen)]
+    if exact.nnz == 0:
+        return RankCertificate(0, "kernel-verified", tuple(used), True, True, bound, 0)
+    lay = _layout(exact.rows, exact.cols, exact.nrows)
+    found = _echelons(lay, vals, used[0])
+    total = sum(len(cols) for cols, _ in found.values())
+    if bound is not None and total > bound:
+        raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
+                                f"{bound}; the bound is invalid")
+    cert = _certify(total, PrimeField(used[0]), matrix, bound)
+    if cert.certified_exact:
+        return cert
+    hadamard = _hadamard_log2(lay, vals)
+    order = np.argsort(lay.comp, kind="stable")
+    starts = np.searchsorted(lay.comp[order], np.arange(lay.h.size + 1))
+    pending = {c: _KernelLift(cols, rows, lay.w[c], used[0]) for c, (cols, rows) in found.items() if rows is not None}
+    fresh, vectors = set(pending), 0
+    while pending:
+        for c in sorted(fresh):
+            lift = pending[c]
+            basis = lift.basis()
+            if basis is not None:
+                idx = order[starts[c]:starts[c + 1]]
+                if _annihilates(lay.li[idx], lay.lj[idx], vals[idx], lay.h[c], basis):
+                    vectors += basis.shape[0]
+                    del pending[c]
+                    continue
+                if lift.last is not None and np.array_equal(lift.last, basis):
+                    return None
+                lift.last = basis
+            if log2(lift.modulus) > 2 * hadamard[c] + 1:
+                return None
+        if not pending:
+            break
+        p = next(gen)
+        used.append(p)
+        select = np.zeros(lay.h.size, dtype=bool)
+        select[list(pending)] = True
+        fresh = set()
+        for c, (cols, rows) in _echelons(lay, vals, p, select).items():
+            if len(cols) > len(pending[c].cols):
+                return None  # the first prime undercounts this block's rank
+            if pending[c].absorb(cols, rows, p):
+                fresh.add(c)
+            elif pending[c].skipped > 2:
+                return None
+    return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +876,18 @@ def rank(
     """
     if matrix.nnz == 0 and structural_bound is None:
         structural_bound = 0  # structurally empty: rank 0 over every field
+    cap = min(matrix.nrows, matrix.ncols)
+    if structural_bound is not None:
+        cap = min(cap, structural_bound)
     key = None
     if cache is not None:
         key = matrix.canonical_key(fieldspec)
         hit = cache.get(key)
-        if hit is not None:
+        if hit is not None and 0 <= hit <= cap:  # a rank no matrix can have is a miss
             return _certify(hit, fieldspec, matrix, structural_bound)
     if isinstance(fieldspec, Rational):
         value = rational_rank(matrix, oracle_cap)
     else:
-        cap = min(matrix.nrows, matrix.ncols)
-        if structural_bound is not None:
-            cap = min(cap, structural_bound)
         value = _rank_mod_p(matrix, fieldspec.p, cap)
     if structural_bound is not None and value > structural_bound:
         raise InvalidInputError(
@@ -631,6 +915,51 @@ def _certify(value: int, fieldspec: FieldSpec, matrix: SparseMatrix, structural_
     )
 
 
+def certified_rank(
+    matrix: SparseMatrix,
+    bound: int | None,
+    primes: Sequence[int],
+    *,
+    cache: "RankCache | None" = None,
+    oracle_cap: int | None = DEFAULT_ORACLE_CAP,
+    lift: bool = True,
+) -> RankCertificate:
+    """Rank of an integer matrix, certified exact whenever a proof is in reach.
+
+    ``bound`` is an upper bound on the rational rank, as for :func:`rank`.
+
+    1. The rank mod ``primes[0]``, returned as it is when it reaches the bound.
+    2. Short of the bound (and with ``lift``), the kernel certificate: verified
+       kernel vectors prove the modular rank exact ("kernel-verified").  It
+       eliminates afresh and never reads the rank from ``cache``.
+    3. If the lift fails: the rank mod each further prime, until one reaches
+       the bound;
+    4. then the rational oracle while ncols <= ``oracle_cap`` (None: never);
+    5. else the best modular rank, uncertified.
+
+    A certificate reached after a failed lift says so (``lift_failed``).
+    """
+    if not primes:
+        raise InvalidInputError("certified_rank needs at least one prime")
+    best = rank(matrix, PrimeField(primes[0]), structural_bound=bound, cache=cache)
+    if best.certified_exact:
+        return best
+    if lift:
+        kernel = _kernel_certificate(matrix, bound, primes)
+        if kernel is not None:
+            return kernel
+    for p in primes[1:]:
+        cert = rank(matrix, PrimeField(p), structural_bound=bound, cache=cache)
+        if cert.rank >= best.rank:
+            best = cert
+        if cert.certified_exact:
+            break
+    else:
+        if oracle_cap is not None and matrix.ncols <= oracle_cap:
+            best = rank(matrix, Rational(), structural_bound=bound, cache=cache, oracle_cap=oracle_cap)
+    return replace(best, lift_failed=True) if lift else best
+
+
 def multi_prime_rank(
     matrix: SparseMatrix,
     primes: Sequence[int],
@@ -638,28 +967,23 @@ def multi_prime_rank(
     structural_bound: int | None = None,
     cache: "RankCache | None" = None,
 ) -> RankCertificate:
-    """Best modular lower bound over several primes (early exit on exactness)."""
+    """Best modular lower bound over several primes (early exit on exactness):
+    the modular steps of :func:`certified_rank`, with no kernel lift and no oracle."""
     if not primes:
         raise InvalidInputError("multi_prime_rank needs at least one prime")
-    best = -1
-    used: list[int] = []
-    bound = min(matrix.nrows, matrix.ncols)
-    if structural_bound is not None:
-        bound = min(bound, structural_bound)
-    for p in primes:
-        cert = rank(matrix, PrimeField(p), structural_bound=structural_bound, cache=cache)
-        used.append(p)
-        best = max(best, cert.rank)
-        if best >= bound:
-            break
-    return RankCertificate(
-        best,
-        "multi-prime",
-        tuple(used),
-        True,
-        best >= bound,
-        structural_bound,
-    )
+    cert = certified_rank(matrix, structural_bound, primes, cache=cache, oracle_cap=None, lift=False)
+    used = primes[:list(primes).index(cert.primes[0]) + 1] if cert.certified_exact else primes
+    return RankCertificate(cert.rank, "multi-prime", tuple(used), True, cert.certified_exact, structural_bound)
+
+
+def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether matrix @ v = 0 for every integer vector v, checked exactly over Z."""
+    if not matrix.is_integer():
+        raise InvalidInputError("annihilates needs an integer matrix")
+    vals = matrix.cleared_to_integers().vals
+    vals = vals if isinstance(vals, np.ndarray) else np.array(vals, dtype=object)
+    basis = np.array([[int(x) for x in v] for v in vectors], dtype=object).reshape(-1, matrix.ncols)
+    return _annihilates(matrix.rows, matrix.cols, vals, matrix.nrows, basis)
 
 
 def nullspace(

@@ -159,7 +159,7 @@ class ResonanceVerdict:
     n: int
     m: int
     vanishes: bool
-    method: str  # "main-theorem" | "oracle"
+    method: str  # "main-theorem"
     degree: int  # the decisive degree n-3
     dim: int  # computed dim W_{n-3}
     certificate: RankCertificate
@@ -191,13 +191,14 @@ def resonance_vanishes(
 ) -> ResonanceVerdict:
     """Decide whether the resonance of (V, K) reduces to {0}.
 
-    Computes dim W_{n-3}: a certified zero proves vanishing, a certified
-    nonzero refutes it.  The escalation of :func:`koszul.hilbert.w_dim`
-    (default primes, then the rational oracle under the size cap) is used;
-    if nothing certifies, the verdict is flagged heuristic.  For n >= 4
-    and a small annihilator the exact pencil oracle is consulted to attach
-    a witness to negative verdicts; the witness, a decomposable form in
-    K-perp checked exactly, proves nonvanishing on its own.
+    Computes dim W_{n-3} with :func:`koszul.hilbert.w_dim`: a certified
+    zero proves vanishing, a certified nonzero refutes it.  A nonzero
+    dimension is certified by kernel vectors verified over Z (the rational
+    oracle under the size cap runs only if their lift fails); if nothing
+    certifies, the verdict is flagged heuristic.  For n >= 4 and a small
+    annihilator the exact pencil oracle is consulted to attach a witness to
+    negative verdicts; the witness, a decomposable form in K-perp checked
+    exactly, proves nonvanishing on its own.
     """
     n = subspace.n
     if n < 3:

@@ -97,7 +97,7 @@ def test_selfcheck(capsys):
     code, out, _ = run(capsys, ["selfcheck"])
     assert code == 0
     assert "0 failed" in out
-    assert out.count("ok   ") == 9
+    assert out.count("ok   ") == 10
 
 
 def test_exit_code_invalid_input(capsys):
@@ -180,3 +180,18 @@ def test_over_budget_component_exits_1(capsys, monkeypatch):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ResourceLimitError"
+
+
+def test_k_file_huge_coefficient(tmp_path, capsys):
+    # 10^30 does not fit int64: the matrices keep exact Python ints
+    dims = []
+    for coeff in (10**30, 2):
+        path = tmp_path / "k.json"
+        basis = [[{"pair": [0, 1], "num": 1}, {"pair": [2, 3], "num": coeff}]]
+        path.write_text(json.dumps({"n": 4, "field": "rational", "basis": basis}))
+        code, out, err = run(capsys, ["hilbert", "--k-file", str(path), "--format", "json"])
+        assert code == 0 and err == "" and "Traceback" not in out
+        data = json.loads(out)
+        assert all(r["certified"] for r in data["records"])
+        dims.append([r["dim"] for r in data["records"]])
+    assert dims[0] == dims[1] == [5, 16]

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from _oracles import gauss_rank_rational
-from koszul.bases import monomial_rank, sym_dim
+from koszul.bases import monomial_rank, pair_rank, sym_dim
 from koszul.errors import InvalidInputError
 from koszul.hilbert import (
     DegreeRecord,
@@ -20,7 +20,7 @@ from koszul.hilbert import (
     w_dim,
     w_dim_alt,
 )
-from koszul.linalg import DEFAULT_PRIMES, PrimeField, Rational
+from koszul.linalg import DEFAULT_PRIMES, PrimeField, RankCache, Rational
 from koszul.subspaces import (
     full_K,
     heisenberg_K,
@@ -253,5 +253,68 @@ def test_prime_defined_subspace_is_model_only():
 
 
 def test_w_dim_verify_mode():
-    res = w_dim(weyman_K(4), 1, verify=True)
+    res = w_dim(weyman_K(4), 1)
     assert res.dim == 0 and res.certified
+    cert = verify_im_delta2_dim(4, 1)
+    assert cert.rank == im_delta2_dim(4, 1) and cert.certified_exact
+
+
+def hyperplane_K(n):
+    """The hyperplane K with K-perp = <e0^e1>: dim W_q = q + 1 in every degree."""
+    skip = pair_rank(0, 1)
+    width = comb(n, 2)
+    return subspace_from_rows(n, [[int(i == j) for i in range(width)] for j in range(width) if j != skip])
+
+
+def count_oracle_calls(monkeypatch):
+    import koszul.linalg
+
+    calls = []
+    inner = koszul.linalg.rational_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(koszul.linalg, "rational_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_hyperplane_profile_kernel_certified(monkeypatch, n):
+    calls = count_oracle_calls(monkeypatch)
+    prof = hilbert_profile(hyperplane_K(n))
+    assert prof.dims() == [q + 1 for q in range(n - 2)] and prof.vanishing_degree is None
+    assert all(r.certified for r in prof.records)
+    modes = [r.certificate.mode for r in prof.records]
+    assert modes == ["single-prime"] + ["kernel-verified"] * (n - 3)
+    assert all(r.certificate.primes == DEFAULT_PRIMES[:1] for r in prof.records)
+    assert calls == []
+
+
+def test_random_K_certified_without_oracle(monkeypatch):
+    # large coefficients of random_K need the CRT lift; the oracle stays idle
+    calls = count_oracle_calls(monkeypatch)
+    for seed in range(6):
+        n = 4 + seed % 2
+        K = random_K(n, 2 + seed, seed + 700)
+        for q in range(3):
+            res = w_dim(K, q)
+            assert res.certified and res.dim == w_dim_alt(K, q)
+    assert calls == []
+
+
+def test_tampered_cache_cannot_certify_wrong_dimension(tmp_path):
+    K = hyperplane_K(6)
+    matrix = restricted_delta2(K, 3)
+    cache = RankCache(str(tmp_path))
+    truth = w_dim(K, 3, cache=cache)
+    assert truth.dim == 4 and truth.certificate.mode == "kernel-verified"
+    key = matrix.canonical_key(PrimeField(DEFAULT_PRIMES[0]))
+    assert RankCache(str(tmp_path)).get(key) == truth.certificate.rank
+    # below the bound the kernel certificate recomputes the rank; above it
+    # the line is a miss (a line holding the bound itself is still trusted)
+    for lie in (truth.certificate.rank - 1, truth.certificate.rank + 1, matrix.ncols + 1, -1):
+        RankCache(str(tmp_path)).put(key, lie)
+        res = w_dim(K, 3, cache=RankCache(str(tmp_path)))
+        assert res.dim == 4 and res.certified and res.certificate.rank == truth.certificate.rank

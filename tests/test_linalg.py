@@ -17,7 +17,9 @@ from koszul.linalg import (
     RankCertificate,
     Rational,
     SparseMatrix,
+    annihilates,
     bareiss_rank,
+    certified_rank,
     is_prime,
     multi_prime_rank,
     nullspace,
@@ -400,6 +402,17 @@ def test_certificate_invariants():
         RankCertificate(1, "single-prime", ())
     cert = RankCertificate(3, "multi-prime", (7, 11), True, False)
     assert RankCertificate.from_json(cert.to_json()) == cert
+    assert "verified_vectors" not in cert.to_json() and "lift_failed" not in cert.to_json()
+    kernel = RankCertificate(3, "kernel-verified", (7, 11), True, True, 5, verified_vectors=2)
+    assert kernel.to_json()["verified_vectors"] == 2
+    assert RankCertificate.from_json(kernel.to_json()) == kernel
+    failed = RankCertificate(3, "single-prime", (7,), lift_failed=True)
+    assert failed.to_json()["lift_failed"] is True
+    assert RankCertificate.from_json(failed.to_json()) == failed
+    with pytest.raises(InvalidInputError):
+        RankCertificate(3, "kernel-verified", (7,), True, False, verified_vectors=2)
+    with pytest.raises(InvalidInputError):
+        RankCertificate(3, "single-prime", (7,), verified_vectors=2)
 
 
 def test_multiply_exact():
@@ -428,3 +441,95 @@ def test_multi_prime_50x50():
     m = random_sparse(50, 50, 0.5, 4096)
     cert = multi_prime_rank(m, DEFAULT_PRIMES)
     assert cert.rank == rank(m, Rational()).rank
+
+
+def low_rank(rng, nrows, ncols, r, lo, hi):
+    """Dense integer product of an nrows x r and an r x ncols factor."""
+    x = [[rng.randint(lo, hi) for _ in range(r)] for _ in range(nrows)]
+    y = [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def test_kernel_certificate_matches_oracle():
+    # deficient blocks of both orientations, one of them two panels high,
+    # entries up to 10^12 and a row divisible by the first prime
+    rng = random.Random(31)
+    p = DEFAULT_PRIMES[0]
+    divisible = low_rank(rng, 10, 12, 6, -9, 9)
+    divisible[3] = [v * p for v in divisible[3]]
+    cases = [low_rank(rng, 9, 14, 5, -9, 9), low_rank(rng, 14, 9, 6, -9, 9),
+             low_rank(rng, 12, 12, 7, -10**6, 10**6), divisible]
+    for dense in cases:
+        cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
+        assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
+        assert cert.rank == gauss_rank_rational(dense) and cert.verified_vectors > 0
+        assert cert.primes[0] == p
+    # two panels with pivot rows in both: the first panel's rows need the
+    # second's columns cleared (rank 80 + 20 by construction, too large for
+    # the test oracle)
+    x = [[rng.randint(-3, 3) if i >= 128 or k < 80 else 0 for k in range(100)] for i in range(150)]
+    y = [[rng.randint(-3, 3) for _ in range(160)] for _ in range(100)]
+    dense = [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.mode == "kernel-verified" and cert.rank == 100 and cert.verified_vectors == 60
+
+
+def test_kernel_certificate_uses_more_primes_for_large_entries():
+    rng = random.Random(32)
+    dense = low_rank(rng, 10, 12, 7, -10**20, 10**20)
+    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.mode == "kernel-verified" and cert.rank == 7
+    assert len(cert.primes) > len(DEFAULT_PRIMES)
+    assert cert.primes[:3] == DEFAULT_PRIMES and len(set(cert.primes)) == len(cert.primes)
+
+
+def test_tampered_kernel_vector_is_rejected(monkeypatch):
+    import koszul.linalg as linalg
+
+    m = from_dense([[1, 2, 3], [2, 4, 6]])
+    assert annihilates(m, [[1, 1, -1], [2, -1, 0]])
+    assert not annihilates(m, [[1, 1, -1], [2, 0, 0]])
+    assert not annihilates(from_dense([[10**30, 1]]), [[1, -(10**30) + 1]])
+
+    # one entry of one lifted vector changed: the exact check refuses it on
+    # every attempt, so the certificate falls back and says so
+    lift = linalg._lift
+
+    def tampered(residues, modulus):
+        out = lift(residues, modulus)
+        if out is not None:
+            out[1][0, 0] += 1
+        return out
+
+    monkeypatch.setattr(linalg, "_lift", tampered)
+    rng = random.Random(33)
+    dense = low_rank(rng, 8, 11, 4, -5, 5)
+    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
+    assert cert.mode == "rational-exact" and cert.lift_failed and cert.rank == 4
+    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.mode == "single-prime" and cert.lift_failed and not cert.certified_exact
+
+
+def test_seven_divisible_never_certifies_falsely():
+    m = SparseMatrix(1, 1, [(0, 0, 7)])
+    cert = certified_rank(m, None, [7], oracle_cap=0)
+    assert cert.rank == 0 and not cert.certified_exact and cert.lift_failed
+    cert = certified_rank(m, None, [7])
+    assert cert.rank == 1 and cert.mode == "rational-exact" and cert.lift_failed
+    cert = certified_rank(m, None, [7, DEFAULT_PRIMES[0]], oracle_cap=0)
+    assert cert.rank == 1 and cert.certified_exact and cert.primes == (DEFAULT_PRIMES[0],)
+    # a zero block mod 7 beside a regular one
+    m = SparseMatrix(2, 3, [(0, 0, 7), (0, 1, 14), (1, 2, 1)])
+    cert = certified_rank(m, None, [7, 11], oracle_cap=0)
+    assert not (cert.certified_exact and cert.rank != 2)
+
+
+def test_kernel_certificate_ignores_cached_rank(tmp_path):
+    rng = random.Random(34)
+    m = from_dense(low_rank(rng, 9, 10, 5, -9, 9))
+    field = PrimeField(DEFAULT_PRIMES[0])
+    cache = RankCache(str(tmp_path))
+    for lie in (4, 6, 8):
+        cache.put(m.canonical_key(field), lie)
+        cert = certified_rank(m, None, DEFAULT_PRIMES, cache=cache, oracle_cap=0)
+        assert cert.rank == 5 and cert.mode == "kernel-verified"

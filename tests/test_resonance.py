@@ -146,13 +146,14 @@ def test_resonance_scope():
 
 def test_witness_certifies_negative_verdict():
     # hyperplane K with K-perp = <e0^e1>: W_4 has 4200 columns, over the
-    # rational oracle's cap, so the rank stays uncertified, but the exactly
-    # checked witness e0^e1 proves that resonance does not vanish
+    # rational oracle's cap, yet verified kernel vectors certify its rank,
+    # and the exactly checked witness e0^e1 proves nonvanishing on its own
     n = 7
     skip = pair_rank(0, 1)
     rows = [[int(i == j) for i in range(comb(n, 2))] for j in range(comb(n, 2)) if j != skip]
     verdict = resonance_vanishes(subspace_from_rows(n, rows))
-    assert not verdict.vanishes and not verdict.certificate.certified_exact
+    assert not verdict.vanishes and verdict.dim == 5
+    assert verdict.certificate.certified_exact and verdict.certificate.mode == "kernel-verified"
     assert verdict.witness is not None and verdict.witness.lifted
     assert not verdict.heuristic
 
