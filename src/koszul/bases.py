@@ -131,6 +131,16 @@ def multiply_rank_table(n: int, q: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def reverse_rank_table(n: int, d: int) -> np.ndarray:
+    """Table of the index reversal x_i -> x_{n-1-i} on monomial ranks.
+
+    Entry ``r`` is the rank of the reversed degree-d monomial of rank r;
+    the table is an involution.  Shape (sym_dim(n, d),), dtype int64.
+    """
+    return np.array([monomial_rank(alpha[::-1]) for alpha in enumerate_monomials(n, d)], dtype=np.int64)
+
+
 def schur_dim_two_row(a: int, b: int, n: int) -> int:
     """Dimension of the two-row Schur functor S_(a,b) applied to C^n.
 

@@ -427,6 +427,20 @@ def _selfcheck_cases():
         kernel[0][0] += 1  # column 0 is nonzero
         assert not annihilates(matrix, kernel)
 
+    def mirrored_ranks():
+        from .hilbert import im_delta2_dim, restricted_delta2
+        from .linalg import rank
+
+        # Weyman's K is stable under the index reversal, so the engine ranks
+        # one block of each mirrored pair; the full elimination must agree
+        field = PrimeField(DEFAULT_PRIMES[0])
+        for q in range(4):
+            matrix = restricted_delta2(weyman_K(6), q)
+            assert matrix.mirror is not None, q
+            mirrored = rank(matrix, field).rank
+            matrix.mirror = None
+            assert mirrored == rank(matrix, field).rank == im_delta2_dim(6, q) - hilbert_bound(6, q), q
+
     def degree_zero_anchor():
         for seed in range(6):
             n = 4 + seed % 2
@@ -445,6 +459,7 @@ def _selfcheck_cases():
         ("Heisenberg vanishing and wedge-square", heisenberg_vanishing),
         ("degree-zero anchor", degree_zero_anchor),
         ("kernel certificates (hyperplane K, n=6)", kernel_certificates),
+        ("mirrored blocks (Weyman K, n=6)", mirrored_ranks),
     ]
 
 

@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .bases import multiply_rank_table, pair_rank, pair_unrank, sym_dim, triple_unrank
+from .bases import multiply_rank_table, pair_rank, pair_unrank, reverse_rank_table, sym_dim, triple_unrank
 from .errors import InvalidInputError, KoszulError
 from .linalg import (
     DEFAULT_ORACLE_CAP,
@@ -41,6 +41,7 @@ from .linalg import (
     PrimeField,
     RankCache,
     RankCertificate,
+    Rational,
     SparseMatrix,
     certified_rank,
     rank,
@@ -145,12 +146,50 @@ def divisorial_defect(n: int, m: int, q: int) -> int:
     return im_delta2_dim(n, q) - m * sym_dim(n, q)
 
 
+def _reversal(subspace: SubspaceK, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The index reversal e_i -> e_{n-1-i} on the rows and columns of the restricted
+    matrix, when it maps every integer basis vector of a rational K to +- another
+    one (checked exactly): (row map, column map, column signs), else None."""
+    if not isinstance(subspace.field, Rational):
+        return None
+    n = subspace.n
+    # e_i ^ e_j -> e_{n-1-i} ^ e_{n-1-j} = -(e_{n-1-j} ^ e_{n-1-i})
+    flipped = [pair_rank(n - 1 - j, n - 1 - i) for i, j in (pair_unrank(n, t) for t in range(comb(n, 2)))]
+    index = {kvec: s for s, kvec in enumerate(subspace.int_basis)}
+    target, sign = [], []
+    for kvec in subspace.int_basis:
+        image = [0] * len(kvec)
+        for t, c in enumerate(kvec):
+            image[flipped[t]] = -c
+        for eps in (1, -1):
+            s = index.get(tuple(eps * c for c in image))
+            if s is not None:
+                target.append(s)
+                sign.append(eps)
+                break
+        else:
+            return None
+    rev_q, rev_1 = reverse_rank_table(n, q), reverse_rank_table(n, q + 1)
+    symq, sym1 = rev_q.size, rev_1.size
+    rows = ((n - 1 - np.arange(n))[:, None] * sym1 + rev_1).ravel()
+    cols = (np.array(target, dtype=np.int64)[:, None] * symq + rev_q).ravel()
+    return rows, cols, np.repeat(np.array(sign, dtype=np.int64), symq)
+
+
 def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
     """Matrix of delta_{2,q} restricted to K (x) Sym^q V.
 
     Column (s, a) is the image of the s-th basis vector of K times the
     degree-q monomial of rank a; entries are integers for every canonical
     subspace (the integer-scaled basis is used).
+
+    When the index reversal e_i -> e_{n-1-i} maps each integer basis vector
+    k_s of a rational K to eps_s k_s' (eps_s = +-1), as it does for Weyman's
+    K, the matrix carries the induced candidate map as ``mirror``: row
+    (j, b) -> (n-1-j, rev b), column (s, a) -> (s', rev a) with sign eps_s,
+    rev the reversal of monomials.  Delta_2 commutes with the reversal, so
+    the map sends the matrix onto itself; the modular engine still checks
+    that exactly before it uses the map (:mod:`koszul.linalg`).
     """
     n = subspace.n
     if q < 0:
@@ -178,9 +217,11 @@ def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
     ncols = subspace.effective_m * symq
     if not rows:
         return SparseMatrix(nrows, ncols, [])
-    return SparseMatrix.from_arrays(
+    matrix = SparseMatrix.from_arrays(
         nrows, ncols, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
+    matrix.mirror = _reversal(subspace, q)
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ The modular engine eliminates each connected component of the bipartite
 nonzero pattern on a dense float64 block of balanced residues: blocks of
 at most _BASE rows stacked by shape, larger ones panel by panel (recursive
 Gauss-Jordan of the panel, then elimination from the rows below, and for
-the reduced echelon form from the pivot rows above).
+the reduced echelon form from the pivot rows above).  Components are
+labelled by min-label hooking and pointer jumping in numpy.
+
 Reduction x - rint(x/p)*p leaves |x| <= (p+3)/2 <= 2^30 + 1 (the rounded
 quotient may be off by one).  Each update t <- t - C*E (mod p), C with
 k <= _PANEL columns, is one GEMM [C | 2^16*C mod p] @ [E_lo ; E_hi] with
@@ -31,6 +33,18 @@ sum, and the rint(x/p)*p that reduces it, is an integer below
 
 exact in float64 for every prime PrimeField accepts.  A component whose
 block and workspace exceed _DENSE_BYTES raises ResourceLimitError first.
+
+A matrix may carry a candidate symmetry ``mirror`` = (row map pi, column
+map tau, column signs eps); :func:`koszul.hilbert.restricted_delta2` sets
+one when the index reversal maps K onto itself.  The rank mod p trusts
+nothing it is given: it checks exactly that pi and tau are involutions,
+that eps is +-1 with eps[tau] = eps, and that the triplets mod p,
+relabelled to (pi r, tau c, eps_c v), are the matrix's own triplets.  The
+map is then an automorphism of the matrix mod p, so the two components of
+a swapped pair have blocks equal up to permutation and signs, hence equal
+rank: one of them is eliminated and counted twice.  A candidate that fails
+the check is ignored and every component is eliminated.  The kernel
+certificate always eliminates every block.
 """
 
 from __future__ import annotations
@@ -188,16 +202,20 @@ class SparseMatrix:
 
     Values are exact: Python ints or Fractions.  Integer matrices with
     entries fitting int64 are carried as numpy arrays; anything else stays
-    in object storage.  Instances should not be mutated after creation.
+    in object storage.  Instances should not be mutated after creation,
+    except to attach a candidate ``mirror`` (see the module docstring).
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
+    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "mirror")
 
     def __init__(self, nrows: int, ncols: int, triplets: Iterable[tuple] = (), *, _raw=None):
         if nrows < 0 or ncols < 0:
             raise InvalidInputError("negative matrix extent")
         self.nrows = nrows
         self.ncols = ncols
+        # a candidate symmetry (row map, column map, column signs), trusted by
+        # nobody: the modular engine checks it before use (_orbit_weights)
+        self.mirror = None
         if _raw is not None:
             self.rows, self.cols, self.vals = _raw
             return
@@ -307,16 +325,20 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, triplets)
 
     def canonical_key(self, fieldspec: FieldSpec | None = None) -> str:
-        """Content hash of the canonically sorted triplet serialization."""
+        """Content hash of the shape, the field token and the triplets sorted by
+        (column, row): int64 values as little-endian bytes, others as text."""
         order = np.lexsort((self.rows, self.cols))
-        vals = self.value_list()
-        parts = [f"{self.nrows}x{self.ncols}"]
-        parts.extend(
-            f"{self.rows[i]},{self.cols[i]},{vals[i]}" for i in order.tolist()
-        )
-        if fieldspec is not None:
-            parts.append(fieldspec.token())
-        return hashlib.sha256(";".join(parts).encode()).hexdigest()
+        token = "" if fieldspec is None else fieldspec.token()
+        digest = hashlib.sha256(f"{self.nrows}x{self.ncols};{token};".encode())
+        if isinstance(self.vals, np.ndarray):
+            digest.update(b"int64;")
+            for part in (self.rows, self.cols, self.vals):
+                digest.update(part[order].astype("<i8").tobytes())
+        else:
+            vals = self.vals
+            digest.update(b"text;")
+            digest.update(";".join(f"{self.rows[i]},{self.cols[i]},{vals[i]}" for i in order.tolist()).encode())
+        return digest.hexdigest()
 
     def reduced_mod(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer-cleared entries reduced into [0, p), zeros dropped."""
@@ -438,22 +460,25 @@ def integer_scaled(vector: Sequence[Fraction]) -> list[int]:
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, nrows: int) -> np.ndarray:
-    """Label of each triplet's connected component of the nonzero pattern."""
-    parent = {}
+    """Label of each triplet's connected component of the nonzero pattern, components
+    numbered by their smallest node (row r is node r, column c node nrows + c).
 
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        a, b = find(r), find(nrows + c)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return np.unique([find(r) for r in rows.tolist()], return_inverse=True)[1]
+    Min-label hooking and pointer jumping (Shiloach and Vishkin, 1982): every root
+    hooks onto the smallest root across its edges, then every node jumps to its
+    root, until no edge joins two roots.  Parents only decrease, so each root is
+    the smallest node of its tree."""
+    u, v = rows, cols + nrows
+    parent = np.arange(nrows + (int(cols.max()) + 1 if cols.size else 0))
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return np.unique(pu, return_inverse=True)[1]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def _local_index(ids: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -625,18 +650,56 @@ def _balanced(vals: np.ndarray, p: int) -> np.ndarray:
     return (vals - p * (vals > p // 2)).astype(np.float64)
 
 
+def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   p: int, lay: _Layout) -> np.ndarray | None:
+    """How often each component's rank counts under the matrix's candidate ``mirror``:
+    1 for a component it fixes, 2 for the first and 0 for the second of two it swaps.
+
+    Used only after an exact check that the candidate (row map pi, column map tau,
+    column signs eps) is an involution and that the triplets mod p, relabelled
+    (pi r, tau c, eps_c v), are the same triplets; then the map is an automorphism
+    of the matrix mod p, and blocks it swaps have equal rank.  None when there is
+    no candidate or the check fails."""
+    if matrix.mirror is None:
+        return None
+    pi, tau, eps = (np.asarray(a) for a in matrix.mirror)
+    nrows, ncols = matrix.shape
+    if not (pi.shape == (nrows,) and tau.shape == eps.shape == (ncols,)
+            and all(a.dtype.kind == "i" for a in (pi, tau, eps))
+            and ((pi >= 0) & (pi < nrows)).all() and ((tau >= 0) & (tau < ncols)).all()
+            and np.array_equal(pi[pi], np.arange(nrows)) and np.array_equal(tau[tau], np.arange(ncols))
+            and (np.abs(eps) == 1).all() and np.array_equal(eps[tau], eps)):
+        return None
+    key, image = rows * ncols + cols, pi[rows] * ncols + tau[cols]
+    order = np.argsort(key)
+    match = order[np.minimum(np.searchsorted(key, image, sorter=order), key.size - 1)]
+    # the relabelling is injective, so meeting every key once makes it a bijection
+    if not (np.array_equal(key[match], image) and np.array_equal(vals[match], np.where(eps[cols] < 0, p - vals, vals))):
+        return None
+    swap = np.empty(lay.h.size, dtype=np.int64)
+    swap[lay.comp] = lay.comp[match]
+    ids = np.arange(lay.h.size)
+    return np.where(swap == ids, 1, np.where(ids < swap, 2, 0))
+
+
 def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int) -> int:
     rows, cols, vals = matrix.reduced_mod(p)
     if rows.size == 0:
         return 0
+    lay = _layout(rows, cols, matrix.nrows)
+    weight = _orbit_weights(matrix, rows, cols, vals, p, lay)
+    select = None if weight is None else weight > 0
+    if weight is None:
+        weight = np.ones(lay.h.size, dtype=np.int64)
     total = 0
-    for _, stack in _stacks(_layout(rows, cols, matrix.nrows), _balanced(vals, p)):
+    for batch, stack in _stacks(lay, _balanced(vals, p), select):
         if total >= cap:
             break
         if stack.shape[1] > _BASE:
-            total += _block_rank(stack[0], p, cap - total)[0]
+            k = int(weight[batch[0]])  # a swapped pair stops at half the rank still missing
+            total += k * _block_rank(stack[0], p, -(-(cap - total) // k))[0]
         else:
-            total += int(np.count_nonzero(_jordan_base(stack, p) >= 0))
+            total += int(weight[batch] @ np.count_nonzero(_jordan_base(stack, p) >= 0, axis=1))
     return total
 
 
@@ -780,21 +843,39 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
     """Rank certified by kernel vectors verified over Z, or None when the lift fails.
 
     Blocks come from the exact nonzero pattern, so an entry that vanishes mod p
-    stays in its block as a zero.  Each block short of full row rank mod the first
-    prime gets one kernel vector per free column of its reduced echelon form; the
-    entries are lifted by rational reconstruction, adding primes by CRT, until the
-    vectors annihilate the block's exact triplets.  The lift fails when a later
-    prime finds a larger rank, when several primes disagree on the pivot columns,
-    when the lifted vectors stop changing, or when the modulus passes twice the
-    square of the block's Hadamard bound.  The rank is never taken from a cache.
+    stays in its block as a zero.  Each block short of full row rank mod the
+    reference prime gets one kernel vector per free column of its reduced echelon
+    form; the entries are lifted by rational reconstruction, adding primes by CRT,
+    until the vectors annihilate the block's exact triplets.  The lift fails when
+    several primes disagree on the pivot columns, when the lifted vectors stop
+    changing, or when the modulus passes twice the square of the block's Hadamard
+    bound.  A later prime that finds a larger rank shows the reference prime
+    unlucky: when it is one of the given primes, the certificate starts again with
+    it as the reference (so at most once per given prime), else it fails.  The
+    rank is never taken from a cache.
     """
     exact = matrix.cleared_to_integers()
     vals = exact.vals if isinstance(exact.vals, np.ndarray) else np.array(exact.vals, dtype=object)
+    if exact.nnz == 0:
+        return RankCertificate(0, "kernel-verified", (primes[0],), True, True, bound, 0)
+    lay = _layout(exact.rows, exact.cols, exact.nrows)
+    hadamard = _hadamard_log2(lay, vals)
+    given, tried = list(dict.fromkeys(primes)), []
+    reference = given[0]
+    while True:
+        tried.append(reference)
+        cert, better = _kernel_attempt(matrix, lay, vals, hadamard, bound, [reference] + given)
+        if better not in given or better in tried:
+            return cert
+        reference = better
+
+
+def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadamard: np.ndarray,
+                    bound: int | None, primes: list[int]) -> tuple[RankCertificate | None, int | None]:
+    """One kernel certificate with primes[0] as the reference prime: (the certificate
+    or None, and the prime that found a larger rank than the reference, if one did)."""
     gen = _lift_primes(primes)
     used = [next(gen)]
-    if exact.nnz == 0:
-        return RankCertificate(0, "kernel-verified", tuple(used), True, True, bound, 0)
-    lay = _layout(exact.rows, exact.cols, exact.nrows)
     found = _echelons(lay, vals, used[0])
     total = sum(len(cols) for cols, _ in found.values())
     if bound is not None and total > bound:
@@ -802,8 +883,7 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
                                 f"{bound}; the bound is invalid")
     cert = _certify(total, PrimeField(used[0]), matrix, bound)
     if cert.certified_exact:
-        return cert
-    hadamard = _hadamard_log2(lay, vals)
+        return cert, None
     order = np.argsort(lay.comp, kind="stable")
     starts = np.searchsorted(lay.comp[order], np.arange(lay.h.size + 1))
     pending = {c: _KernelLift(cols, rows, lay.w[c], used[0]) for c, (cols, rows) in found.items() if rows is not None}
@@ -819,10 +899,10 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
                     del pending[c]
                     continue
                 if lift.last is not None and np.array_equal(lift.last, basis):
-                    return None
+                    return None, None
                 lift.last = basis
             if log2(lift.modulus) > 2 * hadamard[c] + 1:
-                return None
+                return None, None
         if not pending:
             break
         p = next(gen)
@@ -832,12 +912,12 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
         fresh = set()
         for c, (cols, rows) in _echelons(lay, vals, p, select).items():
             if len(cols) > len(pending[c].cols):
-                return None  # the first prime undercounts this block's rank
+                return None, p  # the reference prime undercounts this block's rank
             if pending[c].absorb(cols, rows, p):
                 fresh.add(c)
             elif pending[c].skipped > 2:
-                return None
-    return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
+                return None, None
+    return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors), None
 
 
 # ---------------------------------------------------------------------------

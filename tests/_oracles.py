@@ -54,3 +54,26 @@ def gauss_rank_mod_p(dense, p: int) -> int:
 
 def mat_vec(dense, vec):
     return [sum(row[j] * vec[j] for j in range(len(vec))) for row in dense]
+
+
+def union_find_components(rows, cols, nrows):
+    """Component label of each (row, col) entry of a nonzero pattern by dict
+    union-find, components numbered by their smallest node (row r is node r,
+    column c is node nrows + c)."""
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != x:
+            parent[x], x = root, parent[x]
+        return root
+
+    for r, c in zip(rows, cols):
+        a, b = find(r), find(nrows + c)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    roots = [find(r) for r in rows]
+    number = {root: k for k, root in enumerate(sorted(set(roots)))}
+    return [number[root] for root in roots]

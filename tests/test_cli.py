@@ -97,7 +97,7 @@ def test_selfcheck(capsys):
     code, out, _ = run(capsys, ["selfcheck"])
     assert code == 0
     assert "0 failed" in out
-    assert out.count("ok   ") == 10
+    assert out.count("ok   ") == 11
 
 
 def test_exit_code_invalid_input(capsys):

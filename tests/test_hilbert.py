@@ -318,3 +318,120 @@ def test_tampered_cache_cannot_certify_wrong_dimension(tmp_path):
         RankCache(str(tmp_path)).put(key, lie)
         res = w_dim(K, 3, cache=RankCache(str(tmp_path)))
         assert res.dim == 4 and res.certified and res.certificate.rank == truth.certificate.rank
+
+
+def full_rank(matrix, p, cap):
+    """The engine's rank with the matrix's mirror candidate taken away."""
+    from koszul.linalg import _rank_mod_p
+
+    mirror, matrix.mirror = matrix.mirror, None
+    try:
+        return _rank_mod_p(matrix, p, cap)
+    finally:
+        matrix.mirror = mirror
+
+
+def orbit_weights(matrix, p):
+    """The engine's per-component weights for the matrix's mirror candidate (None: refused)."""
+    from koszul.linalg import _layout, _orbit_weights
+
+    rows, cols, vals = matrix.reduced_mod(p)
+    lay = _layout(rows, cols, matrix.nrows)
+    return _orbit_weights(matrix, rows, cols, vals, p, lay)
+
+
+@pytest.mark.parametrize("p, n_max", [(DEFAULT_PRIMES[0], 8), (DEFAULT_PRIMES[1], 7), (DEFAULT_PRIMES[2], 7), (65537, 7)])
+def test_weyman_mirrored_ranks_match_full_elimination(p, n_max):
+    from koszul.linalg import _rank_mod_p
+
+    # every degree q <= n-3 of n = 4..n_max, except n = 8, q = 5 (see
+    # test_weyman_mirror_eliminates_half_the_blocks): larger cases cost
+    # seconds each
+    for n in range(4, n_max + 1):
+        K = weyman_K(n)
+        for q in range(n - 2 if n < 8 else n - 3):
+            matrix = restricted_delta2(K, q)
+            assert matrix.mirror is not None, (n, q)
+            weights = orbit_weights(matrix, p)
+            assert weights is not None and 2 in weights.tolist(), (n, q)
+            cap = min(matrix.ncols, im_delta2_dim(n, q))
+            expected = im_delta2_dim(n, q) - hilbert_bound(n, q)
+            assert _rank_mod_p(matrix, p, cap) == full_rank(matrix, p, cap) == expected, (n, q)
+            # a cap below the rank: swapped pairs stop at half the missing rank
+            assert _rank_mod_p(matrix, p, expected // 3) >= expected // 3, (n, q)
+
+
+def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
+    import koszul.linalg as linalg
+
+    n, q, p = 8, 5, DEFAULT_PRIMES[0]
+    matrix = restricted_delta2(weyman_K(n), q)
+    rows, cols, _ = matrix.reduced_mod(p)
+    lay = linalg._layout(rows, cols, matrix.nrows)
+    large = int((lay.h > linalg._BASE).sum())
+    calls = []
+    inner = linalg._block_rank
+
+    def counting(block, *args, **kwargs):
+        calls.append(block.shape)
+        return inner(block, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_block_rank", counting)
+    res = w_dim(weyman_K(n), q)
+    assert res.dim == 0 and res.certified and res.certificate.mode == "single-prime"
+    assert large > 20 and 0 < len(calls) <= large // 2 + 1
+    # n = 9, q = 4 has a middle block the reversal maps onto itself
+    calls.clear()
+    matrix = restricted_delta2(weyman_K(9), 4)
+    weights = orbit_weights(matrix, p)
+    assert weights.tolist().count(1) == 1
+    assert w_dim(weyman_K(9), 4).dim == hilbert_bound(9, 4)
+    rows, cols, _ = matrix.reduced_mod(p)
+    lay = linalg._layout(rows, cols, matrix.nrows)
+    assert 0 < len(calls) <= int((lay.h > linalg._BASE).sum()) // 2 + 1
+
+
+def test_tampered_mirror_is_refused():
+    import numpy as np
+
+    from koszul.linalg import SparseMatrix, rank
+
+    p = DEFAULT_PRIMES[0]
+    field = PrimeField(p)
+    matrix = restricted_delta2(weyman_K(6), 2)
+    truth = rank(matrix, field).rank
+    assert orbit_weights(matrix, p) is not None and truth == full_rank(matrix, p, min(matrix.shape))
+    pi, tau, eps = matrix.mirror
+    fixed = int(np.flatnonzero((tau == np.arange(tau.size)) & np.isin(np.arange(tau.size), matrix.cols))[0])
+    flipped = eps.copy()
+    flipped[fixed] *= -1  # still an involution, but one column's sign is wrong
+    moved = pi.copy()
+    moved[0] = pi[1]  # not an involution (nor a permutation)
+    swapped = tau.copy()  # an involution that pairs the wrong columns
+    moving = np.flatnonzero(tau != np.arange(tau.size))
+    a = int(moving[0])
+    b = int(next(c for c in moving if c not in (a, tau[a])))
+    swapped[a], swapped[tau[b]], swapped[b], swapped[tau[a]] = tau[b], a, tau[a], b
+    assert np.array_equal(swapped[swapped], np.arange(tau.size))
+    for candidate in ((pi, tau, flipped), (moved, tau, eps), (pi, swapped, eps), (pi, tau[:-1], eps),
+                      (pi.astype(float), tau, eps)):
+        matrix.mirror = candidate
+        assert orbit_weights(matrix, p) is None
+        assert rank(matrix, field).rank == truth
+    # the true map on a matrix with one value changed
+    vals = matrix.vals.copy()
+    vals[5] *= 3
+    tampered = SparseMatrix.from_arrays(matrix.nrows, matrix.ncols, matrix.rows, matrix.cols, vals)
+    tampered.mirror = (pi, tau, eps)
+    assert orbit_weights(tampered, p) is None
+    assert rank(tampered, field).rank == full_rank(tampered, p, min(tampered.shape))
+
+
+def test_no_mirror_without_reversal_symmetry():
+    assert restricted_delta2(hyperplane_K(6), 2).mirror is None
+    for seed in range(3):
+        assert restricted_delta2(random_K(5, 6, seed), 2).mirror is None
+    modular = subspace_from_rows(4, [[1, 0, 0, 0, 0, 1]], PrimeField(101))
+    assert restricted_delta2(modular, 1).mirror is None
+    assert restricted_delta2(subspace_from_rows(4, [[1, 0, 0, 0, 0, 1]]), 1).mirror is not None
+    assert restricted_delta2(weyman_K(5), 1).transpose().mirror is None

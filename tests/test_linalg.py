@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from _oracles import gauss_rank_mod_p, gauss_rank_rational, mat_vec
+from _oracles import gauss_rank_mod_p, gauss_rank_rational, mat_vec, union_find_components
 from koszul.errors import InvalidInputError, ResourceLimitError
 from koszul.linalg import (
     DEFAULT_PRIMES,
@@ -17,6 +17,7 @@ from koszul.linalg import (
     RankCertificate,
     Rational,
     SparseMatrix,
+    _components,
     annihilates,
     bareiss_rank,
     certified_rank,
@@ -533,3 +534,59 @@ def test_kernel_certificate_ignores_cached_rank(tmp_path):
         cache.put(m.canonical_key(field), lie)
         cert = certified_rank(m, None, DEFAULT_PRIMES, cache=cache, oracle_cap=0)
         assert cert.rank == 5 and cert.mode == "kernel-verified"
+
+
+def test_unlucky_first_prime_is_retried():
+    # rank 2 over Q (row 3 = row 1 + row 2) but 1 mod 7: the lift with 7 as the
+    # reference meets 11's larger rank, restarts with 11 and certifies rank 2
+    dense = [[1, 1, 1], [1, 8, 1], [2, 9, 2]]
+    assert gauss_rank_rational(dense) == 2 and gauss_rank_mod_p(dense, 7) == 1
+    cert = certified_rank(from_dense(dense), 3, (7, 11), oracle_cap=None)
+    assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
+    assert cert.rank == 2 and cert.primes[0] == 11 and cert.verified_vectors == 1
+    # a larger rank found by a prime that was not given still gives up
+    cert = certified_rank(from_dense(dense), 3, (7,), oracle_cap=None)
+    assert cert.rank == 1 and not cert.certified_exact and cert.lift_failed
+
+
+def assert_labels_match_union_find(rows, cols, nrows):
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    labels = _components(rows, cols, nrows)
+    assert labels.shape == rows.shape
+    assert labels.tolist() == union_find_components(rows.tolist(), cols.tolist(), nrows)
+
+
+def test_component_labels_match_union_find():
+    from koszul.hilbert import restricted_delta2
+    from koszul.subspaces import random_K, weyman_K
+
+    for m in (restricted_delta2(weyman_K(7), 3), restricted_delta2(random_K(5, 6, 3), 2),
+              random_sparse(40, 50, 0.03, 8), random_sparse(30, 20, 0.2, 9)):
+        assert_labels_match_union_find(m.rows, m.cols, m.nrows)
+    # a bipartite path of 20,000 nodes numbered in reverse: row i meets columns
+    # i and i - 1, so the smallest label starts at the far end
+    n = 10000
+    rows = np.concatenate([np.arange(n), np.arange(1, n)])
+    cols = np.concatenate([np.arange(n), np.arange(n - 1)])
+    assert_labels_match_union_find(n - 1 - rows, n - 1 - cols, n)
+    assert _components(n - 1 - rows, n - 1 - cols, n).max() == 0
+    # a star on one column and on one row, isolated entries, an empty pattern
+    assert_labels_match_union_find(np.arange(500), np.full(500, 7), 500)
+    assert_labels_match_union_find(np.full(500, 3), np.arange(500)[::-1], 4)
+    assert_labels_match_union_find([5, 0, 3, 9], [2, 7, 0, 1], 10)
+    assert _components(np.array([5, 0, 3]), np.array([2, 7, 0]), 10).tolist() == [2, 0, 1]
+    assert _components(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 6).size == 0
+
+
+def test_canonical_key_object_values_and_order():
+    big = [(0, 1, 10**30), (2, 0, -1), (1, 1, 5)]
+    a, b = SparseMatrix(3, 2, big), SparseMatrix(3, 2, list(reversed(big)))
+    assert not isinstance(a.vals, np.ndarray) and a.canonical_key() == b.canonical_key()
+    assert a.canonical_key() != SparseMatrix(3, 2, [(0, 1, 10**30 + 1), (2, 0, -1), (1, 1, 5)]).canonical_key()
+    small = SparseMatrix(3, 2, [(0, 1, 3), (2, 0, -1), (1, 1, 5)])
+    for other in (SparseMatrix(3, 2, [(0, 1, 3), (2, 0, -1), (1, 1, 6)]),
+                  SparseMatrix(3, 2, [(0, 1, 3), (2, 1, -1), (1, 1, 5)]),
+                  SparseMatrix(2, 3, [(0, 1, 3), (1, 0, -1), (1, 1, 5)]),
+                  small.transpose()):
+        assert small.canonical_key() != other.canonical_key()
+    assert len(small.canonical_key(PrimeField(101))) == 64
