@@ -67,7 +67,6 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     primes: tuple[int, ...]
-    threads: int
     q_max: int | None
     fmt: str
     cache_dir: str | None
@@ -87,12 +86,10 @@ class RunConfig:
         for p in primes:
             PrimeField(p)  # validates primality and word size
         cache_dir = getattr(args, "cache", None) or os.environ.get(ENV_CACHE) or None
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise InvalidInputError("threads must be >= 1")
         return RunConfig(
             primes=primes,
-            threads=threads,
             q_max=getattr(args, "q_max", None),
             fmt=getattr(args, "format", "table"),
             cache_dir=cache_dir,
@@ -113,7 +110,8 @@ class RunConfig:
 
 def _add_common(parser):
     parser.add_argument("--primes", help="comma-separated modular primes")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="kept for compatibility, must be >= 1; the output never depends on it")
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--cache", help="cache directory for rank certificates")
     parser.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=DEFAULT_ORACLE_CAP)
@@ -192,7 +190,6 @@ def cmd_hilbert(args) -> int:
         primes=config.primes,
         oracle_cap=config.oracle_cap,
         cache=config.cache(),
-        threads=config.threads,
     )
     if config.fmt == "json":
         print(json.dumps(profile.to_json(), indent=2, sort_keys=True))

@@ -26,7 +26,6 @@ so e.g. delta_2(e_i ^ e_j (x) f) = e_j (x) x_i f - e_i (x) x_j f.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -73,9 +72,7 @@ def koszul_differential(p: int, n: int, q: int) -> SparseMatrix:
 
     if p == 1:
         for i in range(n):
-            rows.append(mult[i])
-            cols.append(i * symq + span)
-            vals.append(np.ones(symq, dtype=np.int64))
+            emit(0, i, i, 1)
         nrows = sym1
         ncols = n * symq
     elif p == 2:
@@ -198,27 +195,25 @@ def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
     sym1 = sym_dim(n, q + 1)
     mult = multiply_rank_table(n, q)
     span = np.arange(symq, dtype=np.int64)
-    # coefficients past int64 stay exact Python ints
-    dtype = object if any(abs(c) >= 2**62 for kvec in subspace.int_basis for c in kvec) else np.int64
-    rows, cols, vals = [], [], []
+    # the palette: K's coefficients with both signs, indexed without a pass over the entries
+    coeffs = sorted({sign * c for kvec in subspace.int_basis for c in kvec if c for sign in (1, -1)})
+    pos = {c: i for i, c in enumerate(coeffs)}
+    rows, cols, idx = [], [], []
     for s, kvec in enumerate(subspace.int_basis):
         base = s * symq
-        for idx, coeff in enumerate(kvec):
+        for t, coeff in enumerate(kvec):
             if coeff == 0:
                 continue
-            i, j = pair_unrank(n, idx)
-            rows.append(j * sym1 + mult[i])
-            cols.append(base + span)
-            vals.append(np.full(symq, coeff, dtype=dtype))
-            rows.append(i * sym1 + mult[j])
-            cols.append(base + span)
-            vals.append(np.full(symq, -coeff, dtype=dtype))
+            i, j = pair_unrank(n, t)
+            rows += [j * sym1 + mult[i], i * sym1 + mult[j]]
+            cols += [base + span] * 2
+            idx += [np.full(symq, pos[coeff]), np.full(symq, pos[-coeff])]
     nrows = n * sym1
     ncols = subspace.effective_m * symq
     if not rows:
         return SparseMatrix(nrows, ncols, [])
     matrix = SparseMatrix.from_arrays(
-        nrows, ncols, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        nrows, ncols, np.concatenate(rows), np.concatenate(cols), np.concatenate(idx), coeffs
     )
     matrix.mirror = _reversal(subspace, q)
     return matrix
@@ -305,48 +300,33 @@ def w_dim_alt(
     target_dim = (width - m) * symq
     if q == 0:
         return target_dim  # Sym^{-1} source is the zero space
-    proj = _quotient_projection(subspace)
     d3 = koszul_differential(3, n, q - 1)
-    entries: dict[tuple[int, int], int] = {}
-    for r, c, v in zip(d3.rows.tolist(), d3.cols.tolist(), d3.value_list()):
-        pair_idx, mono = divmod(r, symq)
-        for u, coeff in proj.get(pair_idx, ()):
-            key = (u * symq + mono, c)
-            entries[key] = entries.get(key, 0) + coeff * v
-    triplets = [(r, c, v) for (r, c), v in sorted(entries.items()) if v != 0]
-    composite = SparseMatrix(target_dim, d3.ncols, triplets)
+    projection = SparseMatrix(target_dim, d3.nrows, [
+        (u * symq + a, t * symq + a, c) for u, t, c in _quotient_projection(subspace) for a in range(symq)
+    ])
+    composite = projection.multiply(d3)
     bound = min(composite.ncols, target_dim)
     return target_dim - _certified(composite, bound, subspace, fieldspec, primes, oracle_cap, None).rank
 
 
-def _quotient_projection(subspace: SubspaceK) -> dict[int, list[tuple[int, int]]]:
-    """Column map of Wedge^2 V -> Wedge^2 V / K in quotient coordinates.
-
-    Returns, for each pair index t, the list of (quotient row, integer
-    coefficient) it projects to; rows are scaled row-wise to integers.
-    """
+def _quotient_projection(subspace: SubspaceK) -> list[tuple[int, int, int]]:
+    """Wedge^2 V -> Wedge^2 V / K in quotient coordinates, as (quotient row, pair
+    index, integer coefficient) triplets; rows are scaled row-wise to integers."""
     from .linalg import integer_scaled
 
     width = comb(subspace.n, 2)
     pivots = subspace.pivot_columns()
     free = [c for c in range(width) if c not in pivots]
     modulus = subspace.field.p if isinstance(subspace.field, PrimeField) else None
-    columns: dict[int, list[tuple[int, int]]] = {}
+    triplets = []
     for u, fc in enumerate(free):
         rowvals = [row[fc] for row in subspace.basis]
         if modulus is None:
-            scaled = integer_scaled([1] + [-v for v in rowvals])
-            lead, coeffs = scaled[0], scaled[1:]
-            columns.setdefault(fc, []).append((u, lead))
-            for s, coeff in enumerate(coeffs):
-                if coeff:
-                    columns.setdefault(pivots[s], []).append((u, coeff))
+            lead, *coeffs = integer_scaled([1] + [-v for v in rowvals])
         else:
-            columns.setdefault(fc, []).append((u, 1))
-            for s, v in enumerate(rowvals):
-                if v:
-                    columns.setdefault(pivots[s], []).append((u, -v % modulus))
-    return columns
+            lead, coeffs = 1, [-v % modulus for v in rowvals]
+        triplets += [(u, fc, lead)] + [(u, pivots[s], c) for s, c in enumerate(coeffs) if c]
+    return triplets
 
 
 @dataclass(frozen=True)
@@ -422,32 +402,19 @@ def hilbert_profile(
     primes=None,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     cache: RankCache | None = None,
-    threads: int = 1,
 ) -> KoszulProfile:
     """Graded dimensions of W(V,K) for q = 0..q_max with certificates.
 
     The default q_max is n-3 (further degrees are redundant once a zero
-    is certified).  Computation stops at the first certified zero; later
-    records are derived from generation in degree 0.  With threads > 1
-    the degrees are evaluated concurrently and the assembled profile is
-    identical to the sequential one.
+    is certified).  Degrees are computed in order, and computation stops
+    at the first certified zero; later records are derived from
+    generation in degree 0.
     """
     n = subspace.n
     if q_max is None:
         q_max = max(n - 3, 0)
     if q_max < 0:
         raise InvalidInputError(f"need q_max >= 0, got {q_max}")
-
-    def compute(q: int) -> WDimension:
-        return w_dim(
-            subspace, q, fieldspec, primes=primes, oracle_cap=oracle_cap, cache=cache
-        )
-
-    results: dict[int, WDimension] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for q, res in zip(range(q_max + 1), pool.map(compute, range(q_max + 1))):
-                results[q] = res
     records: list[DegreeRecord] = []
     vanishing: int | None = None
     for q in range(q_max + 1):
@@ -457,9 +424,7 @@ def hilbert_profile(
                 DegreeRecord(q, 0, None, bound, None if bound is None else bound == 0, vanishing)
             )
             continue
-        res = results.get(q)
-        if res is None:
-            res = compute(q)
+        res = w_dim(subspace, q, fieldspec, primes=primes, oracle_cap=oracle_cap, cache=cache)
         attained = None if bound is None else res.dim == bound
         records.append(DegreeRecord(q, res.dim, res.certificate, bound, attained))
         if res.dim == 0 and res.certified:

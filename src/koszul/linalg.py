@@ -4,6 +4,13 @@ Rank and nullspace are computed either over the rationals (fraction-free
 elimination on a dense copy, the ground-truth oracle) or over a prime
 field F_p with p an odd prime below 2^31.
 
+Matrices are integral.  A :class:`SparseMatrix` stores each distinct value
+once, in a palette of exact Python ints, and one int64 palette index per
+entry: reduction mod p, the content hash and the Hadamard bound work on the
+palette and gather by index, so no consumer depends on how large the values
+are.  Exact values are gathered only for the kernel check and the dense
+exact routines (the oracle, nullspace, multiply).
+
 Certification: for an integer matrix, the rank mod p never exceeds the
 rational rank (a nonzero minor mod p is nonzero over Z), so modular ranks
 are certified lower bounds.  They become certified exact when they attain
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -197,16 +205,61 @@ class RankCertificate:
         )
 
 
-class SparseMatrix:
-    """Immutable sparse matrix in triplet form with a compiled column view.
+def _palette(values: list) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Palette indices of some integers (an integral Fraction counts as one), and the
+    palette: their sorted distinct values as Python ints."""
+    for v in values:
+        if not (isinstance(v, numbers.Integral) or (isinstance(v, Fraction) and v.denominator == 1)):
+            raise InvalidInputError(f"non-integer entry {v!r}")
+    ints = [int(v) for v in values]
+    coeffs = tuple(sorted(set(ints)))
+    pos = {c: i for i, c in enumerate(coeffs)}
+    return np.fromiter((pos[v] for v in ints), dtype=np.int64, count=len(ints)), coeffs
 
-    Values are exact: Python ints or Fractions.  Integer matrices with
-    entries fitting int64 are carried as numpy arrays; anything else stays
-    in object storage.  Instances should not be mutated after creation,
-    except to attach a candidate ``mirror`` (see the module docstring).
+
+def _validated(nrows: int, ncols: int, rows, cols, vals, coeffs: Sequence[int] | None = None):
+    """(rows, cols, idx, coeffs) of the matrix given by parallel arrays, after checking
+    that its entries are in range, distinct and nonzero integers."""
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
+    if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
+        raise InvalidInputError("row and column indices must be int64 integers")
+    rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+    if not rows.shape == cols.shape == vals.shape:
+        raise InvalidInputError("rows, columns and values differ in length")
+    if rows.size and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
+        raise InvalidInputError("entry out of range")
+    order = np.lexsort((rows, cols))
+    if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
+        raise InvalidInputError("duplicate (row, col) entry")
+    if coeffs is not None:
+        if vals.dtype.kind not in "iu" or (vals.size and (vals.min() < 0 or vals.max() >= len(coeffs))):
+            raise InvalidInputError("palette index out of range")
+        idx, canon = vals.astype(np.int64, copy=False), _palette(list(coeffs))[1]
+        if canon != tuple(coeffs) or not np.bincount(idx, minlength=len(canon)).all():
+            raise InvalidInputError("the palette must be sorted, distinct and fully used")
+        coeffs = canon
+    elif vals.dtype.kind in "biu":
+        uniq, idx = np.unique(vals, return_inverse=True)
+        coeffs = tuple(uniq.tolist())
+    else:
+        idx, coeffs = _palette(vals.tolist())
+    if 0 in coeffs:
+        raise InvalidInputError("explicit zero entry")
+    return rows, cols, idx.astype(np.int64, copy=False), coeffs
+
+
+class SparseMatrix:
+    """Immutable sparse integer matrix in triplet form, its values in a palette.
+
+    Entry k sits at (rows[k], cols[k]) and has the value coeffs[idx[k]]:
+    ``coeffs`` is the sorted tuple of the distinct nonzero values as exact
+    Python ints, ``idx`` an int64 array of indices into it.  Every value
+    must be an integer (an integral Fraction counts as one).  Instances
+    should not be mutated after creation, except to attach a candidate
+    ``mirror`` (see the module docstring).
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "mirror")
+    __slots__ = ("nrows", "ncols", "rows", "cols", "idx", "coeffs", "mirror")
 
     def __init__(self, nrows: int, ncols: int, triplets: Iterable[tuple] = (), *, _raw=None):
         if nrows < 0 or ncols < 0:
@@ -216,55 +269,19 @@ class SparseMatrix:
         # a candidate symmetry (row map, column map, column signs), trusted by
         # nobody: the modular engine checks it before use (_orbit_weights)
         self.mirror = None
-        if _raw is not None:
-            self.rows, self.cols, self.vals = _raw
-            return
-        rows, cols, vals = [], [], []
-        for r, c, v in triplets:
-            if v == 0:
-                raise InvalidInputError(f"explicit zero entry at ({r}, {c})")
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise InvalidInputError(f"entry ({r}, {c}) out of range")
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        if all(isinstance(v, int) and abs(v) < 2**62 for v in vals):
-            self.vals = np.asarray(vals, dtype=np.int64)
-        else:
-            self.vals = list(vals)
-        self._check_duplicates()
+        if _raw is None:
+            triplets = list(triplets)
+            _raw = _validated(nrows, ncols, [t[0] for t in triplets], [t[1] for t in triplets],
+                              np.fromiter((t[2] for t in triplets), dtype=object, count=len(triplets)))
+        self.rows, self.cols, self.idx, self.coeffs = _raw
 
     @staticmethod
-    def from_arrays(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SparseMatrix":
-        """Fast construction from parallel arrays (still validated); ``vals`` is
-        int64, or an object array of Python ints when some do not fit int64."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
-                raise InvalidInputError("entry out of range")
-            if not vals.all():
-                raise InvalidInputError("explicit zero entry")
-        if vals.dtype != object:
-            vals = vals.astype(np.int64)
-        elif all(abs(v) < 2**62 for v in vals.tolist()):
-            vals = vals.astype(np.int64)
-        else:
-            vals = [int(v) for v in vals.tolist()]
-        m = SparseMatrix(nrows, ncols, _raw=(rows, cols, vals))
-        m._check_duplicates()
-        return m
-
-    def _check_duplicates(self):
-        if len(self.rows) < 2:
-            return
-        order = np.lexsort((self.rows, self.cols))
-        r, c = self.rows[order], self.cols[order]
-        if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
-            raise InvalidInputError("duplicate (row, col) entry")
+    def from_arrays(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    coeffs: Sequence[int] | None = None) -> "SparseMatrix":
+        """Fast construction from parallel arrays (still validated): ``vals`` holds the
+        values (an integer dtype, or integers in an object array), or with a palette
+        ``coeffs`` (sorted, distinct, every value used) the indices into it."""
+        return SparseMatrix(nrows, ncols, _raw=_validated(nrows, ncols, rows, cols, vals, coeffs))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -274,40 +291,24 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.rows)
 
-    def is_integer(self) -> bool:
-        return isinstance(self.vals, np.ndarray) or all(
-            isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1) for v in self.vals
-        )
+    @property
+    def vals(self) -> np.ndarray:
+        """Each entry's exact value: int64 while every value is below 2^62 in size,
+        else Python ints in an object array."""
+        small = not self.coeffs or max(-self.coeffs[0], self.coeffs[-1]) < 2**62
+        return np.array(self.coeffs, dtype=np.int64 if small else object)[self.idx]
 
-    def value_list(self) -> list:
-        return self.vals.tolist() if isinstance(self.vals, np.ndarray) else list(self.vals)
+    def value_list(self) -> list[int]:
+        return self.vals.tolist()
 
     def transpose(self) -> "SparseMatrix":
-        vals = self.vals.copy() if isinstance(self.vals, np.ndarray) else list(self.vals)
-        return SparseMatrix(self.ncols, self.nrows, _raw=(self.cols.copy(), self.rows.copy(), vals))
+        return SparseMatrix(self.ncols, self.nrows, _raw=(self.cols.copy(), self.rows.copy(), self.idx.copy(), self.coeffs))
 
-    def to_dense_rows(self) -> list[list]:
+    def to_dense_rows(self) -> list[list[int]]:
         dense = [[0] * self.ncols for _ in range(self.nrows)]
         for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.value_list()):
             dense[r][c] = v
         return dense
-
-    def cleared_to_integers(self) -> "SparseMatrix":
-        """Scale each column by the lcm of its denominators (rank-preserving)."""
-        if self.is_integer():
-            vals = self.vals if isinstance(self.vals, np.ndarray) else [int(v) for v in self.vals]
-            if isinstance(vals, np.ndarray):
-                return self
-            return SparseMatrix(self.nrows, self.ncols, _raw=(self.rows, self.cols, vals))
-        scale: dict[int, int] = {}
-        for c, v in zip(self.cols.tolist(), self.vals):
-            f = Fraction(v)
-            scale[c] = lcm(scale.get(c, 1), f.denominator)
-        vals = [int(Fraction(v) * scale[c]) for c, v in zip(self.cols.tolist(), self.vals)]
-        out = SparseMatrix(self.nrows, self.ncols, _raw=(self.rows, self.cols, vals))
-        if all(abs(v) < 2**62 for v in vals):
-            out.vals = np.asarray(vals, dtype=np.int64)
-        return out
 
     def multiply(self, other: "SparseMatrix") -> "SparseMatrix":
         """Exact matrix product (intended for modest sizes)."""
@@ -325,30 +326,26 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, triplets)
 
     def canonical_key(self, fieldspec: FieldSpec | None = None) -> str:
-        """Content hash of the shape, the field token and the triplets sorted by
-        (column, row): int64 values as little-endian bytes, others as text."""
+        """Content hash of the shape, the field token, the palette as text and the
+        rows, columns and palette indices sorted by (column, row), as little-endian
+        int64 bytes."""
         order = np.lexsort((self.rows, self.cols))
         token = "" if fieldspec is None else fieldspec.token()
-        digest = hashlib.sha256(f"{self.nrows}x{self.ncols};{token};".encode())
-        if isinstance(self.vals, np.ndarray):
-            digest.update(b"int64;")
-            for part in (self.rows, self.cols, self.vals):
-                digest.update(part[order].astype("<i8").tobytes())
-        else:
-            vals = self.vals
-            digest.update(b"text;")
-            digest.update(";".join(f"{self.rows[i]},{self.cols[i]},{vals[i]}" for i in order.tolist()).encode())
+        palette = ",".join(map(str, self.coeffs))
+        digest = hashlib.sha256(f"{self.nrows}x{self.ncols};{token};{palette};".encode())
+        for part in (self.rows, self.cols, self.idx):
+            digest.update(part[order].astype("<i8").tobytes())
         return digest.hexdigest()
 
+    def residues(self, p: int) -> np.ndarray:
+        """Each entry's value reduced into [0, p), zeros kept."""
+        return np.array([c % p for c in self.coeffs], dtype=np.int64)[self.idx]
+
     def reduced_mod(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer-cleared entries reduced into [0, p), zeros dropped."""
-        m = self.cleared_to_integers()
-        if isinstance(m.vals, np.ndarray):
-            vals = m.vals % p
-        else:
-            vals = np.asarray([v % p for v in m.vals], dtype=np.int64)
+        """Entries reduced into [0, p), zeros dropped."""
+        vals = self.residues(p)
         keep = vals != 0
-        return m.rows[keep], m.cols[keep], vals[keep]
+        return self.rows[keep], self.cols[keep], vals[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +382,6 @@ def bareiss_rank(dense: list[list[int]]) -> int:
         prev = piv
         r += 1
     return r
-
-
-def _clear_columns(dense: list[list]) -> list[list[int]]:
-    """Column-wise denominator clearing of a dense rational matrix."""
-    if not dense:
-        return []
-    ncols = len(dense[0])
-    scale = [1] * ncols
-    for row in dense:
-        for j, v in enumerate(row):
-            if isinstance(v, Fraction) and v.denominator != 1:
-                scale[j] = lcm(scale[j], v.denominator)
-    return [[int(Fraction(v) * scale[j]) for j, v in enumerate(row)] for row in dense]
 
 
 def rref(dense: Sequence[Sequence], fieldspec: FieldSpec) -> tuple[list[list], list[int]]:
@@ -719,11 +703,11 @@ def _lift_primes(given: Sequence[int]):
             yield p
 
 
-def _echelons(lay: _Layout, vals: np.ndarray, p: int, select: np.ndarray | None = None) -> dict:
+def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | None = None) -> dict:
     """Per selected component: the pivot columns of its block's reduced echelon form mod p
-    and, when they are fewer than the block's rows, its pivot rows as residues in [0, p)."""
+    and, when they are fewer than the block's rows, its pivot rows as residues in [0, p);
+    ``residues`` holds each triplet's value in [0, p)."""
     out = {}
-    residues = np.asarray(vals % p, dtype=np.int64)
     for batch, stack in _stacks(lay, _balanced(residues, p), select):
         if stack.shape[1] > _BASE:
             r, piv = _block_rank(stack[0], p, stack.shape[1], reduced=True)
@@ -784,13 +768,10 @@ def _annihilates(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nrows: in
     return not out.any()
 
 
-def _hadamard_log2(lay: _Layout, vals: np.ndarray) -> np.ndarray:
-    """Per component, log2 of a bound on every minor of its block: the product over
-    the block's rows of sqrt(number of entries) * largest magnitude."""
-    if vals.dtype == object:
-        mag = np.array([log2(abs(v)) for v in vals.tolist()])
-    else:
-        mag = np.log2(np.abs(vals).astype(np.float64))
+def _hadamard_log2(lay: _Layout, matrix: SparseMatrix) -> np.ndarray:
+    """Per component of the matrix's exact pattern, log2 of a bound on every minor of its
+    block: the product over the block's rows of sqrt(number of entries) * largest magnitude."""
+    mag = np.array([log2(abs(c)) for c in matrix.coeffs])[matrix.idx]
     _, row, count = np.unique(lay.comp * int(lay.h.max()) + lay.li, return_inverse=True, return_counts=True)
     widest = np.zeros(count.size)
     np.maximum.at(widest, row, mag)
@@ -854,12 +835,11 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
     it as the reference (so at most once per given prime), else it fails.  The
     rank is never taken from a cache.
     """
-    exact = matrix.cleared_to_integers()
-    vals = exact.vals if isinstance(exact.vals, np.ndarray) else np.array(exact.vals, dtype=object)
-    if exact.nnz == 0:
+    if matrix.nnz == 0:
         return RankCertificate(0, "kernel-verified", (primes[0],), True, True, bound, 0)
-    lay = _layout(exact.rows, exact.cols, exact.nrows)
-    hadamard = _hadamard_log2(lay, vals)
+    lay = _layout(matrix.rows, matrix.cols, matrix.nrows)
+    hadamard = _hadamard_log2(lay, matrix)
+    vals = matrix.vals
     given, tried = list(dict.fromkeys(primes)), []
     reference = given[0]
     while True:
@@ -876,7 +856,7 @@ def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadama
     or None, and the prime that found a larger rank than the reference, if one did)."""
     gen = _lift_primes(primes)
     used = [next(gen)]
-    found = _echelons(lay, vals, used[0])
+    found = _echelons(lay, matrix.residues(used[0]), used[0])
     total = sum(len(cols) for cols, _ in found.values())
     if bound is not None and total > bound:
         raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
@@ -910,7 +890,7 @@ def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadama
         select = np.zeros(lay.h.size, dtype=bool)
         select[list(pending)] = True
         fresh = set()
-        for c, (cols, rows) in _echelons(lay, vals, p, select).items():
+        for c, (cols, rows) in _echelons(lay, matrix.residues(p), p, select).items():
             if len(cols) > len(pending[c].cols):
                 return None, p  # the reference prime undercounts this block's rank
             if pending[c].absorb(cols, rows, p):
@@ -930,12 +910,7 @@ def rational_rank(matrix: SparseMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP) ->
         raise ResourceLimitError(
             f"rational elimination capped at {oracle_cap} columns, matrix has {matrix.ncols}"
         )
-    dense = matrix.to_dense_rows()
-    if not matrix.is_integer():
-        dense = _clear_columns(dense)
-    else:
-        dense = [[int(v) for v in row] for row in dense]
-    return bareiss_rank(dense)
+    return bareiss_rank(matrix.to_dense_rows())
 
 
 def rank(
@@ -1058,12 +1033,8 @@ def multi_prime_rank(
 
 def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:
     """Whether matrix @ v = 0 for every integer vector v, checked exactly over Z."""
-    if not matrix.is_integer():
-        raise InvalidInputError("annihilates needs an integer matrix")
-    vals = matrix.cleared_to_integers().vals
-    vals = vals if isinstance(vals, np.ndarray) else np.array(vals, dtype=object)
     basis = np.array([[int(x) for x in v] for v in vectors], dtype=object).reshape(-1, matrix.ncols)
-    return _annihilates(matrix.rows, matrix.cols, vals, matrix.nrows, basis)
+    return _annihilates(matrix.rows, matrix.cols, matrix.vals, matrix.nrows, basis)
 
 
 def nullspace(

@@ -129,6 +129,31 @@ def test_determinism_across_threads(capsys):
     assert out1 == out2
 
 
+def test_threads_flag_contract(capsys, monkeypatch):
+    import threading
+
+    import koszul.hilbert
+
+    code, out, err = run(capsys, ["hilbert", "--weyman", "6", "--threads", "0"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
+    # degrees run in order on the calling thread, whatever --threads says
+    alive = []
+    inner = koszul.hilbert.w_dim
+
+    def recording(*args, **kwargs):
+        alive.append(threading.enumerate())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(koszul.hilbert, "w_dim", recording)
+    before = threading.enumerate()  # the main thread, and whatever the test runner keeps
+    _, default, _ = run(capsys, ["hilbert", "--weyman", "6", "--format", "json"])
+    code, out, _ = run(capsys, ["hilbert", "--weyman", "6", "--format", "json", "--threads", "3"])
+    assert code == 0 and out == default
+    assert len(alive) == 8 and all(threads == before for threads in alive)
+
+
 def test_env_primes_override(capsys, monkeypatch):
     monkeypatch.setenv("KOSZUL_PRIMES", "101")
     code, out, _ = run(capsys, ["hilbert", "--weyman", "4", "--format", "json"])

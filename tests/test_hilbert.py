@@ -171,6 +171,37 @@ def test_w_dim_full_K_vanishes():
         assert res.dim == 0 and res.certified
 
 
+def boundary_K(c):
+    """A K whose integer basis holds the coefficients 1, c - 1 and c."""
+    return subspace_from_rows(4, [[1, 0, 0, 0, c, 1], [0, 1, 0, c - 1, 0, c]])
+
+
+@pytest.mark.parametrize("c", [2**62 - 1, 2**62, 2**63, 10**30])
+def test_coefficients_across_the_int64_range(c):
+    from koszul.linalg import SparseMatrix
+
+    # values on both sides of 2^62 and of the int64 range stay exact
+    K = boundary_K(c)
+    assert {abs(v) for row in K.int_basis for v in row} == {0, 1, c - 1, c}
+    for q in range(3):
+        matrix = restricted_delta2(K, q)
+        res = w_dim(K, q)
+        assert res.certified and res.dim == im_delta2_dim(4, q) - gauss_rank_rational(matrix.to_dense_rows()), q
+    matrix = restricted_delta2(K, 1)
+    dense = matrix.to_dense_rows()
+    assert {v for row in dense for v in row} == {0, 1, -1, c - 1, 1 - c, c, -c}
+    assert all(type(v) is int for row in dense for v in row)
+    assert matrix.transpose().to_dense_rows() == [list(col) for col in zip(*dense)]
+    assert matrix.transpose().transpose().to_dense_rows() == dense
+    rebuilt = SparseMatrix(*matrix.shape, [(r, j, v) for r, row in enumerate(dense) for j, v in enumerate(row) if v])
+    assert rebuilt.canonical_key() == matrix.canonical_key()
+    # neighbouring values get different keys
+    for other in (boundary_K(c - 1), boundary_K(c + 1)):
+        assert restricted_delta2(other, 1).canonical_key() != matrix.canonical_key()
+    keys = {SparseMatrix(2, 2, [(0, 0, 1), (1, 1, v)]).canonical_key() for v in (c - 1, c, c + 1, -c)}
+    assert len(keys) == 4
+
+
 def test_heisenberg_injective_at_zero():
     K = heisenberg_K(2)
     restricted = restricted_delta2(K, 0)
@@ -227,11 +258,6 @@ def test_profile_heisenberg_truncates():
     assert prof.vanishing_degree == 1
     assert [r.derived_from for r in prof.records] == [None, None, 1, 1, 1]
     assert all(r.certified for r in prof.records)
-
-
-def test_profile_threads_identical():
-    K = weyman_K(5)
-    assert hilbert_profile(K, q_max=3, threads=2) == hilbert_profile(K, q_max=3)
 
 
 def test_profile_json():

@@ -67,6 +67,13 @@ def test_sparse_matrix_validation():
         SparseMatrix(2, 2, [(0, 2, 1)])
     with pytest.raises(InvalidInputError):
         SparseMatrix(2, 2, [(0, 0, 0)])
+    for r, c in ((10**30, 0), (0.5, 1), (0, 1.0)):  # past int64, or no integer: never truncated
+        with pytest.raises(InvalidInputError):
+            SparseMatrix(2, 2, [(r, c, 1)])
+    with pytest.raises(InvalidInputError):
+        SparseMatrix.from_arrays(2, 2, np.array([2**63], dtype=np.uint64), [0], [1])
+    with pytest.raises(InvalidInputError):
+        SparseMatrix.from_arrays(2, 2, [0, 1], [0], [1, 1])
 
 
 def test_zero_matrix_rank():
@@ -356,12 +363,35 @@ def test_rank_nullity_random():
                     assert all(x == 0 for x in image)
 
 
-def test_fraction_entries_cleared_columnwise():
-    m = SparseMatrix(2, 2, [(0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 3)), (1, 1, 7)])
-    cleared = m.cleared_to_integers()
-    assert cleared.is_integer()
-    assert rank(m, Rational()).rank == rank(cleared, Rational()).rank == 2
-    assert rank(m, PrimeField(101)).rank == 2
+def test_non_integer_entries_rejected():
+    # both matrices have rank 2; they used to rank 1, the first because 0.5 was
+    # truncated to a stored 0, the second because 0.5 was never scaled
+    with pytest.raises(InvalidInputError):
+        SparseMatrix.from_arrays(2, 2, [0, 1], [0, 1], np.array([0.5, 1.0]))
+    with pytest.raises(InvalidInputError):
+        SparseMatrix(2, 2, [(0, 0, 0.5), (1, 1, 1.0)])
+    for bad in (Fraction(1, 2), 1.0, "3", None, 1j):
+        with pytest.raises(InvalidInputError):
+            SparseMatrix(1, 1, [(0, 0, bad)])
+        with pytest.raises(InvalidInputError):
+            SparseMatrix.from_arrays(1, 1, [0], [0], np.array([bad], dtype=object))
+    with pytest.raises(InvalidInputError):
+        SparseMatrix.from_arrays(1, 1, [0], [0], np.array([0], dtype=object))
+    # integral Fractions and numpy integers are integers
+    m = SparseMatrix(2, 2, [(0, 0, Fraction(4, 2)), (1, 1, np.int64(-3))])
+    assert m.coeffs == (-3, 2) and all(type(c) is int for c in m.coeffs)
+    assert rank(m, Rational()).rank == rank(m, PrimeField(101)).rank == 2
+    # a palette: indices inside it, no zero value, no non-integer value, and
+    # sorted, distinct and fully used, so that equal matrices hash equal
+    for idx, coeffs in (([0, 2], (-1, 1)), ([0, -1], (-1, 1)), ([0.0, 1.0], (-1, 1)),
+                        ([0, 1], (0, 1)), ([1, 1], (0, 1)), ([0, 1], (Fraction(1, 2), 1)),
+                        ([0, 1], (1, -1)), ([0, 1], (1, 1)), ([0, 0], (-1, 1))):
+        with pytest.raises(InvalidInputError):
+            SparseMatrix.from_arrays(2, 2, [0, 1], [0, 1], idx, coeffs)
+    a = SparseMatrix.from_arrays(2, 2, [0, 1], [0, 1], np.array([0, 1], dtype=np.int32), (-3, Fraction(5)))
+    b = SparseMatrix(2, 2, [(0, 0, -3), (1, 1, 5)])
+    assert a.coeffs == b.coeffs == (-3, 5) and a.canonical_key() == b.canonical_key()
+    assert a.to_dense_rows() == [[-3, 0], [0, 5]]
 
 
 def test_bareiss_agrees_with_plain_gauss():
@@ -581,7 +611,7 @@ def test_component_labels_match_union_find():
 def test_canonical_key_object_values_and_order():
     big = [(0, 1, 10**30), (2, 0, -1), (1, 1, 5)]
     a, b = SparseMatrix(3, 2, big), SparseMatrix(3, 2, list(reversed(big)))
-    assert not isinstance(a.vals, np.ndarray) and a.canonical_key() == b.canonical_key()
+    assert a.canonical_key() == b.canonical_key()
     assert a.canonical_key() != SparseMatrix(3, 2, [(0, 1, 10**30 + 1), (2, 0, -1), (1, 1, 5)]).canonical_key()
     small = SparseMatrix(3, 2, [(0, 1, 3), (2, 0, -1), (1, 1, 5)])
     for other in (SparseMatrix(3, 2, [(0, 1, 3), (2, 0, -1), (1, 1, 6)]),
