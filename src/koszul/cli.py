@@ -250,48 +250,31 @@ def cmd_group(args) -> int:
             raise InvalidInputError(f"preset {args.preset} needs its parameter flag")
         report = preset_group_invariants(key, param)
         return _emit_report(report, config)
+    q_max = config.q_max if config.q_max is not None else 8
     if args.preset == "free":
         if args.n is None:
             raise InvalidInputError("preset free needs --n")
-        q_max = config.q_max if config.q_max is not None else 8
         table = [(q, chen_free(args.n, q)) for q in range(1, q_max + 1)]
-        payload = {"name": "free", "n": args.n, "chen_ranks": [[q, v] for q, v in table]}
-        if config.fmt == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif config.fmt == "csv":
-            print("q,theta_q")
-            for q, v in table:
-                print(f"{q},{v}")
-        else:
-            print(f"Chen ranks of the free group on {args.n} generators")
-            for q, v in table:
-                print(f"  theta_{q} = {v}")
-        return 0
-    if args.preset == "arrangement":
+        payload = {"name": "free", "n": args.n}
+        title = f"Chen ranks of the free group on {args.n} generators"
+    elif args.preset == "arrangement":
         if args.h is None:
             raise InvalidInputError("preset arrangement needs --h")
         counts = [int(x) for x in args.h.split(",")]
-        q_max = config.q_max if config.q_max is not None else 8
-        q_range = [args.q] if args.q is not None else list(range(2, q_max + 1))
+        q_range = [args.q] if args.q is not None else range(2, q_max + 1)
         table = [(q, arrangement_chen(counts, q)) for q in q_range]
-        payload = {
-            "name": "arrangement",
-            "h": counts,
-            "chen_ranks": [[q, v] for q, v in table],
-            "validity": "q >> 0 only",
-        }
-        if config.fmt == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif config.fmt == "csv":
-            print("q,theta_q")
-            for q, v in table:
-                print(f"{q},{v}")
-        else:
-            print(f"Arrangement Chen ranks for h = {counts} (valid for q >> 0)")
-            for q, v in table:
-                print(f"  theta_{q} = {v}")
-        return 0
-    raise InvalidInputError("group needs --preset or --b1")
+        payload = {"name": "arrangement", "h": counts, "validity": "q >> 0 only"}
+        title = f"Arrangement Chen ranks for h = {counts} (valid for q >> 0)"
+    else:
+        raise InvalidInputError("group needs --preset or --b1")
+    payload["chen_ranks"] = [[q, v] for q, v in table]
+    if config.fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("q,theta_q" if config.fmt == "csv" else title)
+        for q, v in table:
+            print(f"{q},{v}" if config.fmt == "csv" else f"  theta_{q} = {v}")
+    return 0
 
 
 _TABLE_LIMIT = 16

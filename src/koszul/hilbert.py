@@ -235,19 +235,41 @@ class WDimension:
         return {"q": self.q, "dim": self.dim, "certificate": self.certificate.to_json()}
 
 
-def _certified(matrix, bound, subspace, fieldspec, primes, oracle_cap, cache) -> RankCertificate:
-    """Rank of a matrix built from K: over the one field the caller or K itself
-    fixes, else through :func:`koszul.linalg.certified_rank`."""
-    if isinstance(subspace.field, PrimeField):
-        if fieldspec is not None and fieldspec != subspace.field:
-            raise InvalidInputError(
-                f"subspace is defined over {subspace.field.token()}, cannot "
-                f"compute over {fieldspec.token()}"
-            )
-        fieldspec = subspace.field
+def _field(subspace: SubspaceK, fieldspec: FieldSpec | None) -> FieldSpec | None:
+    """The field of a rank over K: K's own prime field, else the caller's (None: automatic)."""
+    if isinstance(subspace.field, PrimeField) and fieldspec not in (None, subspace.field):
+        raise InvalidInputError(
+            f"subspace is defined over {subspace.field.token()}, cannot compute over {fieldspec.token()}"
+        )
+    return subspace.field if isinstance(subspace.field, PrimeField) else fieldspec
+
+
+def _certified(matrix, bound, fieldspec, primes, oracle_cap) -> RankCertificate:
+    """Rank of a matrix built from K over the field :func:`_field` chose."""
     if fieldspec is None:
-        return certified_rank(matrix, bound, primes or DEFAULT_PRIMES, cache=cache, oracle_cap=oracle_cap)
-    return rank(matrix, fieldspec, structural_bound=bound, cache=cache, oracle_cap=oracle_cap)
+        return certified_rank(matrix, bound, primes, oracle_cap=oracle_cap)
+    return rank(matrix, fieldspec, structural_bound=bound, oracle_cap=oracle_cap)
+
+
+def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes, oracle_cap: int) -> str:
+    """What a degree's certificate depends on: the content hash of K's m x C(n,2)
+    integer basis over K's field, q, the field ("auto": none), primes and oracle cap."""
+    basis = SparseMatrix(subspace.effective_m, comb(subspace.n, 2),
+                         [(s, t, c) for s, kvec in enumerate(subspace.int_basis) for t, c in enumerate(kvec) if c])
+    field = "auto" if fieldspec is None else fieldspec.token()
+    return f"{basis.canonical_key(subspace.field)};q={q};{field};{','.join(map(str, primes))};{oracle_cap}"
+
+
+def _answers(cert: RankCertificate, bound: int, fieldspec: FieldSpec | None, primes) -> bool:
+    """Whether a cached certificate can answer this request: a rank in [0, bound] for this
+    bound, from the forced prime alone, the oracle if Q is forced, else a requested prime first."""
+    if not (0 <= cert.rank <= bound and cert.structural_bound == bound):
+        return False
+    if isinstance(fieldspec, Rational):
+        return cert.mode == "rational-exact"
+    if isinstance(fieldspec, PrimeField):
+        return cert.mode == "single-prime" and cert.primes == (fieldspec.p,)
+    return cert.primes[0] in primes if cert.primes else cert.mode == "rational-exact"
 
 
 def w_dim(
@@ -268,12 +290,21 @@ def w_dim(
     and the rational oracle (under ``oracle_cap``) run.  If nothing
     certifies, the best value is returned with its honest, uncertified
     certificate.  An explicit ``fieldspec`` computes one rank over that field.
+
+    The one user of ``cache``: a hit under :func:`_cache_key` that passes
+    :func:`_answers` builds no matrix; a miss is computed and stored.
     """
     n = subspace.n
-    matrix = restricted_delta2(subspace, q)
+    fieldspec = _field(subspace, fieldspec)
+    primes = tuple(primes or DEFAULT_PRIMES)
     image_dim = im_delta2_dim(n, q)
-    bound = min(matrix.ncols, image_dim)
-    cert = _certified(matrix, bound, subspace, fieldspec, primes, oracle_cap, cache)
+    bound = min(subspace.effective_m * sym_dim(n, q), image_dim)
+    key = None if cache is None else _cache_key(subspace, q, fieldspec, primes, oracle_cap)
+    cert = None if cache is None else cache.get(key)
+    if cert is None or not _answers(cert, bound, fieldspec, primes):
+        cert = _certified(restricted_delta2(subspace, q), bound, fieldspec, primes, oracle_cap)
+        if cache is not None:
+            cache.put(key, cert)
     return WDimension(q, image_dim - cert.rank, cert)
 
 
@@ -306,7 +337,8 @@ def w_dim_alt(
     ])
     composite = projection.multiply(d3)
     bound = min(composite.ncols, target_dim)
-    return target_dim - _certified(composite, bound, subspace, fieldspec, primes, oracle_cap, None).rank
+    cert = _certified(composite, bound, _field(subspace, fieldspec), primes or DEFAULT_PRIMES, oracle_cap)
+    return target_dim - cert.rank
 
 
 def _quotient_projection(subspace: SubspaceK) -> list[tuple[int, int, int]]:
@@ -390,10 +422,6 @@ class KoszulProfile:
         }
 
 
-def _profile_bound(n: int, q: int) -> int | None:
-    return hilbert_bound(n, q) if n >= 3 else None
-
-
 def hilbert_profile(
     subspace: SubspaceK,
     q_max: int | None = None,
@@ -418,7 +446,7 @@ def hilbert_profile(
     records: list[DegreeRecord] = []
     vanishing: int | None = None
     for q in range(q_max + 1):
-        bound = _profile_bound(n, q)
+        bound = hilbert_bound(n, q) if n >= 3 else None
         if vanishing is not None:
             records.append(
                 DegreeRecord(q, 0, None, bound, None if bound is None else bound == 0, vanishing)

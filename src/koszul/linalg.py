@@ -52,6 +52,9 @@ a swapped pair have blocks equal up to permutation and signs, hence equal
 rank: one of them is eliminated and counted twice.  A candidate that fails
 the check is ignored and every component is eliminated.  The kernel
 certificate always eliminates every block.
+
+No rank function reads a cache.  :class:`RankCache` stores whole certificates
+for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, KoszulError, ResourceLimitError
 
 DEFAULT_PRIMES: tuple[int, ...] = (2147483647, 2147483629, 2147483587)
 DEFAULT_ORACLE_CAP = 2000  # max columns for dense rational elimination
@@ -832,8 +835,7 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
     changing, or when the modulus passes twice the square of the block's Hadamard
     bound.  A later prime that finds a larger rank shows the reference prime
     unlucky: when it is one of the given primes, the certificate starts again with
-    it as the reference (so at most once per given prime), else it fails.  The
-    rank is never taken from a cache.
+    it as the reference (so at most once per given prime), else it fails.
     """
     if matrix.nnz == 0:
         return RankCertificate(0, "kernel-verified", (primes[0],), True, True, bound, 0)
@@ -919,7 +921,6 @@ def rank(
     *,
     structural_bound: int | None = None,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    cache: "RankCache | None" = None,
 ) -> RankCertificate:
     """Rank certificate for ``matrix`` over the given field.
 
@@ -934,12 +935,6 @@ def rank(
     cap = min(matrix.nrows, matrix.ncols)
     if structural_bound is not None:
         cap = min(cap, structural_bound)
-    key = None
-    if cache is not None:
-        key = matrix.canonical_key(fieldspec)
-        hit = cache.get(key)
-        if hit is not None and 0 <= hit <= cap:  # a rank no matrix can have is a miss
-            return _certify(hit, fieldspec, matrix, structural_bound)
     if isinstance(fieldspec, Rational):
         value = rational_rank(matrix, oracle_cap)
     else:
@@ -949,25 +944,14 @@ def rank(
             f"computed rank {value} exceeds declared structural bound "
             f"{structural_bound}; the bound is invalid"
         )
-    if cache is not None:
-        cache.put(key, value)
     return _certify(value, fieldspec, matrix, structural_bound)
 
 
 def _certify(value: int, fieldspec: FieldSpec, matrix: SparseMatrix, structural_bound: int | None) -> RankCertificate:
     if isinstance(fieldspec, Rational):
         return RankCertificate(value, "rational-exact", (), True, True, structural_bound)
-    bound = min(matrix.nrows, matrix.ncols)
-    if structural_bound is not None:
-        bound = min(bound, structural_bound)
-    return RankCertificate(
-        value,
-        "single-prime",
-        (fieldspec.p,),
-        True,
-        value >= bound,
-        structural_bound,
-    )
+    bound = min(matrix.shape + (() if structural_bound is None else (structural_bound,)))
+    return RankCertificate(value, "single-prime", (fieldspec.p,), True, value >= bound, structural_bound)
 
 
 def certified_rank(
@@ -975,7 +959,6 @@ def certified_rank(
     bound: int | None,
     primes: Sequence[int],
     *,
-    cache: "RankCache | None" = None,
     oracle_cap: int | None = DEFAULT_ORACLE_CAP,
     lift: bool = True,
 ) -> RankCertificate:
@@ -985,8 +968,7 @@ def certified_rank(
 
     1. The rank mod ``primes[0]``, returned as it is when it reaches the bound.
     2. Short of the bound (and with ``lift``), the kernel certificate: verified
-       kernel vectors prove the modular rank exact ("kernel-verified").  It
-       eliminates afresh and never reads the rank from ``cache``.
+       kernel vectors prove the modular rank exact ("kernel-verified").
     3. If the lift fails: the rank mod each further prime, until one reaches
        the bound;
     4. then the rational oracle while ncols <= ``oracle_cap`` (None: never);
@@ -996,7 +978,7 @@ def certified_rank(
     """
     if not primes:
         raise InvalidInputError("certified_rank needs at least one prime")
-    best = rank(matrix, PrimeField(primes[0]), structural_bound=bound, cache=cache)
+    best = rank(matrix, PrimeField(primes[0]), structural_bound=bound)
     if best.certified_exact:
         return best
     if lift:
@@ -1004,14 +986,14 @@ def certified_rank(
         if kernel is not None:
             return kernel
     for p in primes[1:]:
-        cert = rank(matrix, PrimeField(p), structural_bound=bound, cache=cache)
+        cert = rank(matrix, PrimeField(p), structural_bound=bound)
         if cert.rank >= best.rank:
             best = cert
         if cert.certified_exact:
             break
     else:
         if oracle_cap is not None and matrix.ncols <= oracle_cap:
-            best = rank(matrix, Rational(), structural_bound=bound, cache=cache, oracle_cap=oracle_cap)
+            best = rank(matrix, Rational(), structural_bound=bound, oracle_cap=oracle_cap)
     return replace(best, lift_failed=True) if lift else best
 
 
@@ -1020,13 +1002,12 @@ def multi_prime_rank(
     primes: Sequence[int],
     *,
     structural_bound: int | None = None,
-    cache: "RankCache | None" = None,
 ) -> RankCertificate:
     """Best modular lower bound over several primes (early exit on exactness):
     the modular steps of :func:`certified_rank`, with no kernel lift and no oracle."""
     if not primes:
         raise InvalidInputError("multi_prime_rank needs at least one prime")
-    cert = certified_rank(matrix, structural_bound, primes, cache=cache, oracle_cap=None, lift=False)
+    cert = certified_rank(matrix, structural_bound, primes, oracle_cap=None, lift=False)
     used = primes[:list(primes).index(cert.primes[0]) + 1] if cert.certified_exact else primes
     return RankCertificate(cert.rank, "multi-prime", tuple(used), True, cert.certified_exact, structural_bound)
 
@@ -1073,17 +1054,26 @@ def nullspace(
 
 
 class RankCache:
-    """Line-delimited JSON cache of rank values keyed by matrix content hash."""
+    """Line-delimited JSON file of records {"v": 2, "key", "cert", "digest"}: ``cert``
+    is :meth:`RankCertificate.to_json`, ``digest`` the SHA-256 of (version, key, cert).
+    A torn line, another version (older {key, rank} lines), a bad digest or a
+    certificate RankCertificate rejects is a miss.  A put is one ``os.write`` on an
+    O_APPEND descriptor of a record that starts with a newline, so it never glues
+    onto another.  The digest stops corruption, not a deliberate writer."""
 
     FILENAME = "rank-cache.jsonl"
+    VERSION = 2
 
     def __init__(self, directory: str):
-        self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, self.FILENAME)
-        self._mem: dict[str, int] | None = None
+        self._mem: dict[str, RankCertificate] | None = None
 
-    def _load(self) -> dict[str, int]:
+    @classmethod
+    def _digest(cls, key: str, cert: dict) -> str:
+        return hashlib.sha256(json.dumps([cls.VERSION, key, cert], sort_keys=True).encode()).hexdigest()
+
+    def _load(self) -> dict[str, RankCertificate]:
         if self._mem is None:
             self._mem = {}
             if os.path.exists(self.path):
@@ -1091,23 +1081,21 @@ class RankCache:
                     for line in fh:
                         try:
                             record = json.loads(line)
-                            self._mem[record["key"]] = int(record["rank"])
-                        except (ValueError, KeyError, TypeError):
-                            continue  # a torn or foreign line is a miss
+                            if record["v"] == self.VERSION and record["digest"] == self._digest(record["key"], record["cert"]):
+                                self._mem[record["key"]] = RankCertificate.from_json(record["cert"])
+                        except (ValueError, KeyError, TypeError, KoszulError):
+                            continue  # a torn, foreign or rejected line is a miss
         return self._mem
 
-    def get(self, key: str) -> int | None:
+    def get(self, key: str) -> RankCertificate | None:
         return self._load().get(key)
 
-    def put(self, key: str, value: int) -> None:
-        mem = self._load()
-        if mem.get(key) == value:
-            return
-        mem[key] = value
-        record = json.dumps({"key": key, "rank": value}) + "\n"
-        with open(self.path, "ab+") as fh:
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    record = "\n" + record  # never glue onto a torn last line
-            fh.write(record.encode())
+    def put(self, key: str, cert: RankCertificate) -> None:
+        self._load()[key] = cert
+        data = cert.to_json()
+        record = {"v": self.VERSION, "key": key, "cert": data, "digest": self._digest(key, data)}
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, ("\n" + json.dumps(record, sort_keys=True)).encode())
+        finally:
+            os.close(fd)

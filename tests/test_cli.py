@@ -93,6 +93,27 @@ def test_group_arrangement(capsys):
     assert out.strip().splitlines() == ["q,theta_q", "3,16"]
 
 
+def test_group_chen_presets_table_and_json(capsys):
+    code, out, _ = run(capsys, ["group", "--preset", "free", "--n", "3", "--q-max", "4"])
+    assert code == 0
+    assert out == "Chen ranks of the free group on 3 generators\n" + "".join(
+        f"  theta_{q} = {v}\n" for q, v in [(1, 3), (2, 3), (3, 8), (4, 15)])
+    code, out, _ = run(capsys, ["group", "--preset", "free", "--n", "3", "--q-max", "4", "--format", "json"])
+    assert code == 0
+    assert out == json.dumps({"chen_ranks": [[1, 3], [2, 3], [3, 8], [4, 15]], "n": 3, "name": "free"}, indent=2) + "\n"
+    code, out, _ = run(capsys, ["group", "--preset", "arrangement", "--h", "0,2", "--q-max", "4"])
+    assert code == 0
+    assert out == ("Arrangement Chen ranks for h = [0, 2] (valid for q >> 0)\n"
+                   "  theta_2 = 6\n  theta_3 = 16\n  theta_4 = 30\n")
+    code, out, _ = run(capsys, ["group", "--preset", "arrangement", "--h", "1,2,3", "--q", "4", "--format", "json"])
+    assert code == 0
+    payload = {"chen_ranks": [[4, 168]], "h": [1, 2, 3], "name": "arrangement", "validity": "q >> 0 only"}
+    assert out == json.dumps(payload, indent=2) + "\n"
+    for argv in (["--preset", "free"], ["--preset", "arrangement"], []):
+        code, out, err = run(capsys, ["group"] + argv)
+        assert code == 2 and out == "" and json.loads(err)["error"] == "InvalidInputError"
+
+
 def test_selfcheck(capsys):
     code, out, _ = run(capsys, ["selfcheck"])
     assert code == 0
@@ -194,6 +215,41 @@ def test_truncated_cache_line_is_a_miss(capsys, tmp_path):
     code, out, _ = run(capsys, argv)  # every rank now hits the cache
     assert code == 0 and out == clean
     assert path.stat().st_size == size
+
+
+def test_forged_cache_line_at_the_bound(capsys, tmp_path):
+    import re
+    from math import comb
+
+    from koszul.subspaces import subspace_from_rows
+
+    # the hyperplane K at n=6: dim W_3 = 4, a rank of 500 under the bound 504
+    width, path = comb(6, 2), tmp_path / "k.json"
+    K = subspace_from_rows(6, [[int(i == j) for i in range(width)] for j in range(1, width)])
+    path.write_text(json.dumps(K.to_json()))
+    argv = ["hilbert", "--k-file", str(path), "--format", "json"]
+    _, clean, _ = run(capsys, argv)
+    assert [r["dim"] for r in json.loads(clean)["records"]] == [1, 2, 3, 4]
+    cached = argv + ["--cache", str(tmp_path / "cache")]
+    code, out, _ = run(capsys, cached)
+    assert code == 0 and out == clean
+    lines = tmp_path / "cache" / "rank-cache.jsonl"
+    text = lines.read_text()
+    assert text.count('"rank": 500') == 1
+    # the q=3 line edited by hand to the bound, as a plain single-prime rank
+    text = text.replace('"rank": 500', '"rank": 504').replace('"kernel-verified"', '"single-prime"')
+    lines.write_text(re.sub(r', "verified_vectors": \d+', "", text))
+    code, out, err = run(capsys, cached)
+    assert code == 0 and err == "" and out == clean
+
+
+def test_cache_under_a_regular_file_exits_1(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, ["hilbert", "--weyman", "5", "--cache", str(blocker / "cache")])
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "NotADirectoryError"
 
 
 def test_over_budget_component_exits_1(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Koszul differentials and graded dimensions of W(V,K)."""
 
+import json
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from koszul.hilbert import (
     w_dim,
     w_dim_alt,
 )
-from koszul.linalg import DEFAULT_PRIMES, PrimeField, RankCache, Rational
+from koszul.linalg import DEFAULT_ORACLE_CAP, DEFAULT_PRIMES, PrimeField, RankCache, Rational
 from koszul.subspaces import (
     full_K,
     heisenberg_K,
@@ -330,20 +331,104 @@ def test_random_K_certified_without_oracle(monkeypatch):
     assert calls == []
 
 
-def test_tampered_cache_cannot_certify_wrong_dimension(tmp_path):
-    K = hyperplane_K(6)
-    matrix = restricted_delta2(K, 3)
-    cache = RankCache(str(tmp_path))
-    truth = w_dim(K, 3, cache=cache)
+def test_cache_key_separates_requests():
+    from koszul.hilbert import _cache_key
+
+    K, p = hyperplane_K(6), DEFAULT_PRIMES[0]
+    rows = [list(kvec) for kvec in K.int_basis]
+    base = _cache_key(K, 3, None, DEFAULT_PRIMES, 2000)
+    assert base == _cache_key(subspace_from_rows(6, rows[::-1]), 3, None, DEFAULT_PRIMES, 2000)
+    others = [
+        _cache_key(random_K(6, 14, 1), 3, None, DEFAULT_PRIMES, 2000),  # another K of the same size
+        _cache_key(subspace_from_rows(6, rows, PrimeField(101)), 3, None, DEFAULT_PRIMES, 2000),  # K over F_101
+        _cache_key(K, 2, None, DEFAULT_PRIMES, 2000),
+        _cache_key(K, 3, Rational(), DEFAULT_PRIMES, 2000),
+        _cache_key(K, 3, PrimeField(p), DEFAULT_PRIMES, 2000),
+        _cache_key(K, 3, None, DEFAULT_PRIMES[:1], 2000),
+        _cache_key(K, 3, None, DEFAULT_PRIMES[::-1], 2000),
+        _cache_key(K, 3, None, DEFAULT_PRIMES, 0),
+    ]
+    assert len({base, *others}) == len(others) + 1
+
+
+def test_warm_profile_builds_no_matrix(tmp_path, monkeypatch):
+    import koszul.hilbert
+
+    cold = [hilbert_profile(K, cache=RankCache(str(tmp_path))) for K in (weyman_K(6), hyperplane_K(6))]
+    path = tmp_path / RankCache.FILENAME
+    size = path.stat().st_size
+
+    def refuse(*args):
+        raise AssertionError("a warm hit built a matrix")
+
+    monkeypatch.setattr(koszul.hilbert, "restricted_delta2", refuse)
+    warm = [hilbert_profile(K, cache=RankCache(str(tmp_path))) for K in (weyman_K(6), hyperplane_K(6))]
+    assert warm == cold and path.stat().st_size == size
+    assert cold[1].records[3].certificate.mode == "kernel-verified"
+
+
+def write_record(directory, key, cert, *, version=RankCache.VERSION, digest=None):
+    """One cache line by hand; the digest is the right one unless given."""
+    record = {"v": version, "key": key, "cert": cert, "digest": digest or RankCache._digest(key, cert)}
+    (directory / RankCache.FILENAME).write_text(json.dumps(record) + "\n")
+
+
+def test_cache_misses_are_recomputed(tmp_path, monkeypatch):
+    import koszul.hilbert
+    from koszul.hilbert import _cache_key
+
+    K, p = hyperplane_K(6), DEFAULT_PRIMES[0]
+    inner, builds = koszul.hilbert.restricted_delta2, []
+    monkeypatch.setattr(koszul.hilbert, "restricted_delta2", lambda *args: builds.append(args) or inner(*args))
+
+    def misses(q, fieldspec, lines):
+        """Each line alone in a cache file: w_dim recomputes, and a fresh cache then holds the truth."""
+        truth = w_dim(K, q, fieldspec)
+        key = _cache_key(K, q, fieldspec, DEFAULT_PRIMES, DEFAULT_ORACLE_CAP)
+        write_record(tmp_path, key, truth.certificate.to_json())  # the honest line is a hit
+        before = len(builds)
+        assert w_dim(K, q, fieldspec, cache=RankCache(str(tmp_path))) == truth and len(builds) == before
+        for i, line in enumerate(lines):
+            directory = tmp_path / f"{q}-{fieldspec}-{i}"
+            directory.mkdir()
+            line(directory, key, truth.certificate.to_json())
+            before = len(builds)
+            assert w_dim(K, q, fieldspec, cache=RankCache(str(directory))) == truth, i
+            assert len(builds) == before + 1, i
+            assert RankCache(str(directory)).get(key) == truth.certificate, i
+        return truth
+
+    def text(s):
+        return lambda directory, key, cert: (directory / RankCache.FILENAME).write_text(s)
+
+    def signed(**change):
+        return lambda directory, key, cert: write_record(directory, key, {**cert, **change})
+
+    def forged(directory, key, cert):  # the bound in place of the rank, with the honest digest
+        write_record(directory, key, {**cert, "rank": 504, "mode": "single-prime"}, digest=RankCache._digest(key, cert))
+
+    truth = misses(3, None, [
+        text(""),
+        text("\n\n"),
+        lambda directory, key, cert: write_record(directory, key, cert, version=1),
+        lambda directory, key, cert: (directory / RankCache.FILENAME).write_text(
+            json.dumps({"key": key, "rank": 504}) + "\n"),  # the format before certificates
+        lambda directory, key, cert: (directory / RankCache.FILENAME).write_text(
+            json.dumps({"v": 2, "key": key, "cert": cert, "digest": RankCache._digest(key, cert)})[:-30]),  # torn
+        forged,
+        signed(certified_exact=False),  # a kernel-verified certificate is exact: rejected
+        signed(primes=[]),
+        signed(rank=505),
+        signed(rank=-1),
+        signed(structural_bound=784),
+        signed(primes=[101, p]),
+    ])
     assert truth.dim == 4 and truth.certificate.mode == "kernel-verified"
-    key = matrix.canonical_key(PrimeField(DEFAULT_PRIMES[0]))
-    assert RankCache(str(tmp_path)).get(key) == truth.certificate.rank
-    # below the bound the kernel certificate recomputes the rank; above it
-    # the line is a miss (a line holding the bound itself is still trusted)
-    for lie in (truth.certificate.rank - 1, truth.certificate.rank + 1, matrix.ncols + 1, -1):
-        RankCache(str(tmp_path)).put(key, lie)
-        res = w_dim(K, 3, cache=RankCache(str(tmp_path)))
-        assert res.dim == 4 and res.certified and res.certificate.rank == truth.certificate.rank
+    # a forced prime takes only a single-prime certificate over exactly that prime
+    misses(3, PrimeField(p), [signed(primes=[p, DEFAULT_PRIMES[1]]), signed(primes=[DEFAULT_PRIMES[1]]),
+                              signed(mode="multi-prime")])
+    # forced Q takes only the oracle's certificate
+    misses(1, Rational(), [signed(mode="single-prime", primes=[p])])
 
 
 def full_rank(matrix, p, cap):
