@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers; anything else is invalid input."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidInputError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 @dataclass
 class RunConfig:
     primes: tuple[int, ...]
@@ -76,9 +84,9 @@ class RunConfig:
     @staticmethod
     def from_args(args) -> "RunConfig":
         if getattr(args, "primes", None):
-            primes = tuple(int(p) for p in args.primes.split(","))
+            primes = tuple(_int_list(args.primes, "--primes"))
         elif os.environ.get(ENV_PRIMES):
-            primes = tuple(int(p) for p in os.environ[ENV_PRIMES].split(","))
+            primes = tuple(_int_list(os.environ[ENV_PRIMES], ENV_PRIMES))
         else:
             primes = DEFAULT_PRIMES
         if not primes:
@@ -260,7 +268,7 @@ def cmd_group(args) -> int:
     elif args.preset == "arrangement":
         if args.h is None:
             raise InvalidInputError("preset arrangement needs --h")
-        counts = [int(x) for x in args.h.split(",")]
+        counts = _int_list(args.h, "--h")
         q_range = [args.q] if args.q is not None else range(2, q_max + 1)
         table = [(q, arrangement_chen(counts, q)) for q in q_range]
         payload = {"name": "arrangement", "h": counts, "validity": "q >> 0 only"}
@@ -412,13 +420,14 @@ def _selfcheck_cases():
         from .linalg import rank
 
         # Weyman's K is stable under the index reversal, so the engine ranks
-        # one block of each mirrored pair; the full elimination must agree
+        # one block of each mirrored pair without the spare rows; the full
+        # elimination must agree
         field = PrimeField(DEFAULT_PRIMES[0])
         for q in range(4):
             matrix = restricted_delta2(weyman_K(6), q)
             assert matrix.mirror is not None, q
             mirrored = rank(matrix, field).rank
-            matrix.mirror = None
+            matrix.mirror = matrix.spare = None
             assert mirrored == rank(matrix, field).rank == im_delta2_dim(6, q) - hilbert_bound(6, q), q
 
     def degree_zero_anchor():

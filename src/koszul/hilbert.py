@@ -187,6 +187,19 @@ def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
     rev the reversal of monomials.  Delta_2 commutes with the reversal, so
     the map sends the matrix onto itself; the modular engine still checks
     that exactly before it uses the map (:mod:`koszul.linalg`).
+
+    Every matrix also carries the row mask ``spare``: row (j, b) is spare
+    iff j <= min var(b), i.e. x_j is the smallest variable of x_j b, so
+    there is one spare row per monomial M of degree q+2 and
+    im_delta2_dim(n, q) rows are kept.  By exactness the columns lie in
+    ker(delta_1 : V (x) Sym^{q+1} -> Sym^{q+2}), on which the projection
+    onto the kept rows is injective over every field: a vector of
+    ker delta_1 that vanishes off the spare rows has delta_1(v)_M =
+    v_(j(M), M/x_j(M)) = 0 for every M.  The modular engine leaves the spare
+    rows out of its blocks but never trusts the mask for an upper bound.
+    The mask is not stable under the reversal (which sends the smallest
+    variable to the largest), which is why it masks rows of the full
+    matrix rather than leaving them out of it.
     """
     n = subspace.n
     if q < 0:
@@ -216,6 +229,10 @@ def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
         nrows, ncols, np.concatenate(rows), np.concatenate(cols), np.concatenate(idx), coeffs
     )
     matrix.mirror = _reversal(subspace, q)
+    low = np.full(sym1, n)  # the smallest variable of each degree-(q+1) monomial
+    for j in range(n - 1, -1, -1):
+        low[mult[j]] = j
+    matrix.spare = (np.arange(n)[:, None] <= low).ravel()
     return matrix
 
 

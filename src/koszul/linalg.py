@@ -50,8 +50,23 @@ relabelled to (pi r, tau c, eps_c v), are the matrix's own triplets.  The
 map is then an automorphism of the matrix mod p, so the two components of
 a swapped pair have blocks equal up to permutation and signs, hence equal
 rank: one of them is eliminated and counted twice.  A candidate that fails
-the check is ignored and every component is eliminated.  The kernel
-certificate always eliminates every block.
+the check is ignored and every component is eliminated.
+
+A matrix may also carry ``spare``, a boolean mask of rows expected to be
+combinations of the others; :func:`koszul.hilbert.restricted_delta2` marks
+one Koszul-redundant row per monomial of degree q+2.  The rank mod p labels
+the components and checks the mirror on the full pattern, then builds the
+block of each selected component from its non-spare triplets only, and
+checks _DENSE_BYTES on these projected blocks, the ones it allocates.  This
+is sound whatever the mask says: writing S A for A without its spare rows,
+a row submatrix's rank never exceeds the matrix's, and a swapped pair C, C'
+counts 2 rank(S A_C) <= rank(A_C) + rank(A_C'), so every result is still
+a certified lower bound.  When the spare rows really are redundant,
+rank(S A) = rank(A) summed over the components, and since rank(S A_C) <=
+rank(A_C) for each C, equality holds block by block.  Upper bounds do not change: the structural bound
+does not depend on the mask, and the kernel certificate never reads it; it
+always eliminates every full block and checks its vectors against every
+exact triplet.
 
 No rank function reads a cache.  :class:`RankCache` stores whole certificates
 for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
@@ -258,11 +273,13 @@ class SparseMatrix:
     ``coeffs`` is the sorted tuple of the distinct nonzero values as exact
     Python ints, ``idx`` an int64 array of indices into it.  Every value
     must be an integer (an integral Fraction counts as one).  Instances
-    should not be mutated after creation, except to attach a candidate
-    ``mirror`` (see the module docstring).
+    should not be mutated after creation, except to attach the untrusted
+    hints ``mirror``, a candidate symmetry, and ``spare``, a boolean mask of
+    candidate redundant rows (see the module docstring).  :meth:`transpose`
+    drops both.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "idx", "coeffs", "mirror")
+    __slots__ = ("nrows", "ncols", "rows", "cols", "idx", "coeffs", "mirror", "spare")
 
     def __init__(self, nrows: int, ncols: int, triplets: Iterable[tuple] = (), *, _raw=None):
         if nrows < 0 or ncols < 0:
@@ -272,6 +289,8 @@ class SparseMatrix:
         # a candidate symmetry (row map, column map, column signs), trusted by
         # nobody: the modular engine checks it before use (_orbit_weights)
         self.mirror = None
+        # candidate redundant rows, left out of the modular blocks (_rank_mod_p)
+        self.spare = None
         if _raw is None:
             triplets = list(triplets)
             _raw = _validated(nrows, ncols, [t[0] for t in triplets], [t[1] for t in triplets],
@@ -468,13 +487,14 @@ def _components(rows: np.ndarray, cols: np.ndarray, nrows: int) -> np.ndarray:
             parent = up
 
 
-def _local_index(ids: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's row (or column) position within its component, and the count per component."""
+def _local_index(ids: np.ndarray, comp: np.ndarray, ncomp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's row (or column) position within its component, and the count per
+    component (ncomp of them)."""
     uniq, inverse = np.unique(ids, return_inverse=True)
     owner = np.empty(uniq.size, dtype=np.int64)
     owner[inverse] = comp
     order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner)
+    counts = np.bincount(owner, minlength=ncomp)
     local = np.empty(uniq.size, dtype=np.int64)
     local[order] = np.arange(uniq.size) - (np.cumsum(counts) - counts)[owner[order]]
     return local[inverse], counts
@@ -592,14 +612,17 @@ class _Layout:
     w: np.ndarray  # block columns per component
 
 
-def _layout(rows: np.ndarray, cols: np.ndarray, nrows: int) -> _Layout:
-    """Component blocks of a nonzero pattern; raises ResourceLimitError before any
-    allocation when one block and its workspace would exceed _DENSE_BYTES."""
-    comp = _components(rows, cols, nrows)
-    lr, nr = _local_index(rows, comp)
-    lc, nc = _local_index(cols, comp)
+def _layout(rows: np.ndarray, cols: np.ndarray, comp: np.ndarray, select: np.ndarray | None = None) -> _Layout:
+    """Blocks of the components labelled ``comp`` (see _components) built from the
+    triplets at (rows, cols); raises ResourceLimitError before any allocation when one
+    block that ``select`` keeps (a mask over the labels; all by default) and its
+    workspace would exceed _DENSE_BYTES."""
+    if select is None:
+        select = np.ones(int(comp.max()) + 1, dtype=bool)
+    lr, nr = _local_index(rows, comp, select.size)
+    lc, nc = _local_index(cols, comp, select.size)
     h, w = np.minimum(nr, nc), np.maximum(nr, nc)
-    need = 8 * w * (h + 6 * _PANEL * (h > _BASE))  # block, and for big ones panel split and update scratch
+    need = 8 * w * (h + 6 * _PANEL * (h > _BASE)) * select  # block, and for big ones panel split and update scratch
     if need.max() > _DENSE_BYTES:
         k = int(need.argmax())
         raise ResourceLimitError(f"component of shape {nr[k]}x{nc[k]} needs {need[k]} bytes "
@@ -618,6 +641,8 @@ def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray | None = None):
         keep = select[comp]
         comp, li, lj, values = comp[keep], li[keep], lj[keep], values[keep]
         present = np.flatnonzero(select)
+    if not comp.size:
+        return
     ckey = np.where(h > _BASE, np.arange(h.size) - h.size, h * (int(w.max()) + 1) + w)
     _, first, count = np.unique(ckey[present], return_index=True, return_counts=True)
     first = present[first]
@@ -638,7 +663,7 @@ def _balanced(vals: np.ndarray, p: int) -> np.ndarray:
 
 
 def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   p: int, lay: _Layout) -> np.ndarray | None:
+                   p: int, comp: np.ndarray) -> np.ndarray | None:
     """How often each component's rank counts under the matrix's candidate ``mirror``:
     1 for a component it fixes, 2 for the first and 0 for the second of two it swaps.
 
@@ -663,21 +688,29 @@ def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, val
     # the relabelling is injective, so meeting every key once makes it a bijection
     if not (np.array_equal(key[match], image) and np.array_equal(vals[match], np.where(eps[cols] < 0, p - vals, vals))):
         return None
-    swap = np.empty(lay.h.size, dtype=np.int64)
-    swap[lay.comp] = lay.comp[match]
-    ids = np.arange(lay.h.size)
+    ids = np.arange(int(comp.max()) + 1)
+    swap = np.empty(ids.size, dtype=np.int64)
+    swap[comp] = comp[match]
     return np.where(swap == ids, 1, np.where(ids < swap, 2, 0))
 
 
 def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int) -> int:
+    """A lower bound on the rank mod p that reaches it (or cap) when the candidate
+    ``spare`` rows are redundant: the mirror is checked on the full pattern, then the
+    blocks it selects are eliminated without the spare rows."""
     rows, cols, vals = matrix.reduced_mod(p)
     if rows.size == 0:
         return 0
-    lay = _layout(rows, cols, matrix.nrows)
-    weight = _orbit_weights(matrix, rows, cols, vals, p, lay)
-    select = None if weight is None else weight > 0
+    comp = _components(rows, cols, matrix.nrows)
+    weight = _orbit_weights(matrix, rows, cols, vals, p, comp)
     if weight is None:
-        weight = np.ones(lay.h.size, dtype=np.int64)
+        weight = np.ones(int(comp.max()) + 1, dtype=np.int64)
+    select = weight > 0
+    spare = np.asarray(matrix.spare)
+    if spare.dtype == bool and spare.shape == (matrix.nrows,):
+        keep = ~spare[rows]
+        rows, cols, vals, comp = rows[keep], cols[keep], vals[keep], comp[keep]
+    lay = _layout(rows, cols, comp, select)
     total = 0
     for batch, stack in _stacks(lay, _balanced(vals, p), select):
         if total >= cap:
@@ -839,7 +872,7 @@ def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequenc
     """
     if matrix.nnz == 0:
         return RankCertificate(0, "kernel-verified", (primes[0],), True, True, bound, 0)
-    lay = _layout(matrix.rows, matrix.cols, matrix.nrows)
+    lay = _layout(matrix.rows, matrix.cols, _components(matrix.rows, matrix.cols, matrix.nrows))
     hadamard = _hadamard_log2(lay, matrix)
     vals = matrix.vals
     given, tried = list(dict.fromkeys(primes)), []

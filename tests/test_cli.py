@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from koszul.cli import main
 from koszul.subspaces import weyman_K
 
@@ -190,6 +192,20 @@ def test_env_bad_primes(capsys, monkeypatch):
     code, _, err = run(capsys, ["hilbert", "--weyman", "4"])
     assert code == 2
     assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["hilbert", "--weyman", "4", "--primes", "x"], None),
+    (["hilbert", "--weyman", "4"], "x"),
+    (["group", "--preset", "arrangement", "--h", "a,b"], None),
+])
+def test_non_integer_list_exits_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("KOSZUL_PRIMES", env)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
 
 
 def test_cache_flag(tmp_path, capsys):

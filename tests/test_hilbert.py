@@ -432,23 +432,31 @@ def test_cache_misses_are_recomputed(tmp_path, monkeypatch):
 
 
 def full_rank(matrix, p, cap):
-    """The engine's rank with the matrix's mirror candidate taken away."""
+    """The engine's rank with the matrix's mirror candidate and spare rows taken away:
+    every full block eliminated."""
     from koszul.linalg import _rank_mod_p
 
-    mirror, matrix.mirror = matrix.mirror, None
+    hints, matrix.mirror, matrix.spare = (matrix.mirror, matrix.spare), None, None
     try:
         return _rank_mod_p(matrix, p, cap)
     finally:
-        matrix.mirror = mirror
+        matrix.mirror, matrix.spare = hints
+
+
+def full_layout(matrix, p):
+    """The engine's components of the matrix's full pattern mod p, and their blocks."""
+    from koszul.linalg import _components, _layout
+
+    rows, cols, _ = matrix.reduced_mod(p)
+    return _layout(rows, cols, _components(rows, cols, matrix.nrows))
 
 
 def orbit_weights(matrix, p):
     """The engine's per-component weights for the matrix's mirror candidate (None: refused)."""
-    from koszul.linalg import _layout, _orbit_weights
+    from koszul.linalg import _orbit_weights
 
     rows, cols, vals = matrix.reduced_mod(p)
-    lay = _layout(rows, cols, matrix.nrows)
-    return _orbit_weights(matrix, rows, cols, vals, p, lay)
+    return _orbit_weights(matrix, rows, cols, vals, p, full_layout(matrix, p).comp)
 
 
 @pytest.mark.parametrize("p, n_max", [(DEFAULT_PRIMES[0], 8), (DEFAULT_PRIMES[1], 7), (DEFAULT_PRIMES[2], 7), (65537, 7)])
@@ -477,9 +485,7 @@ def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
 
     n, q, p = 8, 5, DEFAULT_PRIMES[0]
     matrix = restricted_delta2(weyman_K(n), q)
-    rows, cols, _ = matrix.reduced_mod(p)
-    lay = linalg._layout(rows, cols, matrix.nrows)
-    large = int((lay.h > linalg._BASE).sum())
+    large = int((full_layout(matrix, p).h > linalg._BASE).sum())
     calls = []
     inner = linalg._block_rank
 
@@ -497,9 +503,7 @@ def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
     weights = orbit_weights(matrix, p)
     assert weights.tolist().count(1) == 1
     assert w_dim(weyman_K(9), 4).dim == hilbert_bound(9, 4)
-    rows, cols, _ = matrix.reduced_mod(p)
-    lay = linalg._layout(rows, cols, matrix.nrows)
-    assert 0 < len(calls) <= int((lay.h > linalg._BASE).sum()) // 2 + 1
+    assert 0 < len(calls) <= int((full_layout(matrix, p).h > linalg._BASE).sum()) // 2 + 1
 
 
 def test_tampered_mirror_is_refused():
@@ -546,3 +550,99 @@ def test_no_mirror_without_reversal_symmetry():
     assert restricted_delta2(modular, 1).mirror is None
     assert restricted_delta2(subspace_from_rows(4, [[1, 0, 0, 0, 0, 1]]), 1).mirror is not None
     assert restricted_delta2(weyman_K(5), 1).transpose().mirror is None
+
+
+def test_spare_rows_one_per_monomial():
+    from koszul.bases import monomial_unrank
+
+    for K, q in [(weyman_K(5), 1), (random_K(4, 3, 5), 2), (hyperplane_K(5), 0), (full_K(3), 3)]:
+        n = K.n
+        matrix = restricted_delta2(K, q)
+        sym1 = sym_dim(n, q + 1)
+        spare = matrix.spare
+        assert spare.dtype == bool and spare.shape == (matrix.nrows,)
+        assert int(spare.sum()) == sym_dim(n, q + 2) and matrix.nrows - int(spare.sum()) == im_delta2_dim(n, q)
+        # row (j, b) is spare iff x_j is the smallest variable of x_j*b, once per product
+        products = []
+        for row in range(matrix.nrows):
+            j, b = divmod(row, sym1)
+            alpha = list(monomial_unrank(n, q + 1, b))
+            smallest = next(i for i, e in enumerate(alpha) if e)
+            assert bool(spare[row]) == (j <= smallest), (n, q, row)
+            if spare[row]:
+                alpha[j] += 1
+                products.append(monomial_rank(tuple(alpha)))
+        assert sorted(products) == list(range(sym_dim(n, q + 2)))
+        assert matrix.transpose().spare is None
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES + (65537, 3))
+def test_projected_ranks_match_full_elimination(p):
+    from koszul.linalg import _rank_mod_p
+
+    # (K, dim W_q): Weyman's K and random borderline K attain the bound, the hyperplane K has q + 1
+    cases = [(weyman_K(n), hilbert_bound) for n in range(4, 8)]
+    cases += [(random_K(n, 2 * n - 3, seed), hilbert_bound) for n, seed in ((5, 1), (6, 2))]
+    cases += [(hyperplane_K(n), lambda n, q: q + 1) for n in range(5, 8)]
+    for K, dim in cases:
+        n = K.n
+        for q in range(n - 2):
+            matrix = restricted_delta2(K, q)
+            cap = min(matrix.ncols, im_delta2_dim(n, q))
+            expected = im_delta2_dim(n, q) - dim(n, q)
+            projected = _rank_mod_p(matrix, p, cap)
+            assert projected == full_rank(matrix, p, cap), (n, q)
+            # mod 3 the rank of Weyman's and the random K falls below the rational rank
+            assert projected == expected if p != 3 else projected <= expected, (n, q)
+
+
+def test_lying_spare_cannot_change_certified_dim(monkeypatch):
+    import numpy as np
+
+    import koszul.hilbert
+
+    inner = koszul.hilbert.restricted_delta2
+    cases = [(weyman_K(6), 2), (weyman_K(6), 3), (hyperplane_K(6), 2), (random_K(5, 7, 3), 2)]
+    truths = [w_dim(K, q) for K, q in cases]
+    rng = np.random.default_rng(7)
+    for lie in ("all", "random", "shape", "dtype"):
+        def lying(subspace, q):
+            matrix = inner(subspace, q)
+            matrix.spare = {"all": np.ones(matrix.nrows, dtype=bool),
+                            "random": rng.random(matrix.nrows) < 0.5,
+                            "shape": np.zeros(matrix.nrows + 1, dtype=bool),
+                            "dtype": np.ones(matrix.nrows, dtype=np.int64)}[lie]
+            return matrix
+
+        monkeypatch.setattr(koszul.hilbert, "restricted_delta2", lying)
+        for (K, q), truth in zip(cases, truths):
+            res = w_dim(K, q)
+            assert res.certified and res.dim == truth.dim, (lie, K.n, q)
+
+
+def test_budget_is_checked_on_projected_blocks(monkeypatch):
+    import koszul.linalg as linalg
+    from koszul.errors import ResourceLimitError
+
+    p = DEFAULT_PRIMES[0]
+    matrix = restricted_delta2(random_K(6, 9, 2), 3)  # one 756x504 component, 504x504 projected
+    assert full_layout(matrix, p).h.size == 1
+    calls = []
+    inner = linalg._block_rank
+
+    def counting(block, *args, **kwargs):
+        calls.append(block.shape)
+        return inner(block, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_block_rank", counting)
+    need = 8 * 504 * (504 + 6 * linalg._PANEL)  # the projected block and its workspace
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
+    with pytest.raises(ResourceLimitError):
+        full_rank(matrix, p, 504)
+    assert calls == []
+    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(504, 504)]
+    calls.clear()
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError):
+        linalg.rank(matrix, PrimeField(p))
+    assert calls == []
