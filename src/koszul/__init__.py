@@ -52,7 +52,6 @@ from .linalg import (
     annihilates,
     certified_rank,
     is_prime,
-    multi_prime_rank,
     nullspace,
     rank,
 )

@@ -83,7 +83,7 @@ class RunConfig:
 
     @staticmethod
     def from_args(args) -> "RunConfig":
-        if getattr(args, "primes", None):
+        if getattr(args, "primes", None) is not None:
             primes = tuple(_int_list(args.primes, "--primes"))
         elif os.environ.get(ENV_PRIMES):
             primes = tuple(_int_list(os.environ[ENV_PRIMES], ENV_PRIMES))
@@ -144,7 +144,11 @@ def _add_k_source(parser):
 def _load_subspace(args, config: RunConfig) -> SubspaceK:
     if args.k_file:
         with open(args.k_file, "r", encoding="utf-8") as fh:
-            return SubspaceK.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise InvalidInputError(f"--k-file is not valid JSON: {exc}") from None
+        return SubspaceK.from_json(data)
     if args.weyman is not None:
         return weyman_K(args.weyman)
     if args.heisenberg is not None:

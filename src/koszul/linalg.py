@@ -14,9 +14,11 @@ exact routines (the oracle, nullspace, multiply).
 Certification: for an integer matrix, the rank mod p never exceeds the
 rational rank (a nonzero minor mod p is nonzero over Z), so modular ranks
 are certified lower bounds.  They become certified exact when they attain
-a structural upper bound -- either min(nrows, ncols) or a cap supplied by
-the caller.  Rational ranks are exact by construction.  When the modular
-rank r falls short of the bound, :func:`certified_rank` proves the matching
+a structural upper bound -- either min(nrows, ncols) or a bound supplied by
+the caller.  Every elimination runs to completion, so a modular rank above
+a bound proves the bound invalid.  Rational ranks are exact by
+construction.  When the modular rank r falls short of the bound,
+:func:`certified_rank`, the one escalation policy, proves the matching
 upper bound instead: it lifts one kernel vector per free column of the
 reduced echelon form mod p to Z (rational reconstruction, CRT over more
 primes while the Hadamard bound allows) and checks each exactly against
@@ -63,10 +65,10 @@ a row submatrix's rank never exceeds the matrix's, and a swapped pair C, C'
 counts 2 rank(S A_C) <= rank(A_C) + rank(A_C'), so every result is still
 a certified lower bound.  When the spare rows really are redundant,
 rank(S A) = rank(A) summed over the components, and since rank(S A_C) <=
-rank(A_C) for each C, equality holds block by block.  Upper bounds do not change: the structural bound
-does not depend on the mask, and the kernel certificate never reads it; it
-always eliminates every full block and checks its vectors against every
-exact triplet.
+rank(A_C) for each C, equality holds block by block.  Upper bounds do not
+change: the structural bound does not depend on the mask, and the kernel
+certificate never reads it; it always eliminates every full block and
+checks its vectors against every exact triplet.
 
 No rank function reads a cache.  :class:`RankCache` stores whole certificates
 for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
@@ -155,11 +157,18 @@ class PrimeField:
 FieldSpec = Union[Rational, PrimeField]
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer (not a bool, not a float), else InvalidInputError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
 def field_from_json(data) -> FieldSpec:
     if data == "rational":
         return Rational()
     if isinstance(data, dict) and set(data) == {"prime"}:
-        return PrimeField(int(data["prime"]))
+        return PrimeField(json_int(data["prime"], "prime"))
     raise InvalidInputError(f"unrecognized field spec: {data!r}")
 
 
@@ -174,7 +183,7 @@ class RankCertificate:
     """
 
     rank: int
-    mode: str  # "rational-exact" | "single-prime" | "multi-prime" | "kernel-verified"
+    mode: str  # one of MODES
     primes: tuple[int, ...] = ()
     certified_lower_bound: bool = True
     certified_exact: bool = False
@@ -182,12 +191,16 @@ class RankCertificate:
     verified_vectors: int = 0
     lift_failed: bool = False
 
+    MODES = ("rational-exact", "single-prime", "kernel-verified")
+
     def __post_init__(self):
+        if self.mode not in self.MODES:
+            raise InvalidInputError(f"unknown certificate mode {self.mode!r}")
         if self.mode == "rational-exact" and not self.certified_exact:
             raise InvalidInputError("rational-exact certificates are always exact")
         if self.certified_exact and not self.certified_lower_bound:
             raise InvalidInputError("exact implies lower bound")
-        if self.mode in ("single-prime", "multi-prime", "kernel-verified") and not self.primes:
+        if self.mode != "rational-exact" and not self.primes:
             raise InvalidInputError("modular certificate without primes")
         if self.verified_vectors and self.mode != "kernel-verified":
             raise InvalidInputError("verified kernel vectors belong to kernel-verified certificates")
@@ -573,9 +586,9 @@ def _eliminate(rows: np.ndarray, cols: list[int], es: np.ndarray, p: int) -> Non
         _update(t, t[:, cols], es, p)
 
 
-def _block_rank(block: np.ndarray, p: int, cap: int, reduced: bool = False) -> tuple[int, list[int]]:
-    """Rank and pivot columns of one component's block, stopping once the rank reaches cap:
-    each panel is put in reduced echelon form, then eliminated from the rows below.  With
+def _block_rank(block: np.ndarray, p: int, reduced: bool = False) -> tuple[int, list[int]]:
+    """Rank and pivot columns of one component's block, every panel eliminated: each
+    panel is put in reduced echelon form, then eliminated from the rows below.  With
     ``reduced`` the pivot rows are gathered in block[:rank] and each panel is eliminated
     from the pivot rows above too, which leaves block[:rank] in reduced echelon form."""
     rank, pivots = 0, []
@@ -588,8 +601,6 @@ def _block_rank(block: np.ndarray, p: int, cap: int, reduced: bool = False) -> t
             _eliminate(block[:top], cols, _split(block[top:top + r]), p)
         rank += r
         pivots += cols
-        if rank >= cap:
-            break
         # named so that it lives through the next panel: freed at once, it made the
         # later _split calls 40 % slower on one large component (the allocator)
         es = _split(block[top:top + r])
@@ -694,10 +705,10 @@ def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, val
     return np.where(swap == ids, 1, np.where(ids < swap, 2, 0))
 
 
-def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int) -> int:
-    """A lower bound on the rank mod p that reaches it (or cap) when the candidate
-    ``spare`` rows are redundant: the mirror is checked on the full pattern, then the
-    blocks it selects are eliminated without the spare rows."""
+def _rank_mod_p(matrix: SparseMatrix, p: int) -> int:
+    """A lower bound on the rank mod p that reaches it when the candidate ``spare`` rows
+    are redundant: the mirror is checked on the full pattern, then every block it
+    selects is eliminated to completion without the spare rows."""
     rows, cols, vals = matrix.reduced_mod(p)
     if rows.size == 0:
         return 0
@@ -713,11 +724,8 @@ def _rank_mod_p(matrix: SparseMatrix, p: int, cap: int) -> int:
     lay = _layout(rows, cols, comp, select)
     total = 0
     for batch, stack in _stacks(lay, _balanced(vals, p), select):
-        if total >= cap:
-            break
         if stack.shape[1] > _BASE:
-            k = int(weight[batch[0]])  # a swapped pair stops at half the rank still missing
-            total += k * _block_rank(stack[0], p, -(-(cap - total) // k))[0]
+            total += int(weight[batch[0]]) * _block_rank(stack[0], p)[0]
         else:
             total += int(weight[batch] @ np.count_nonzero(_jordan_base(stack, p) >= 0, axis=1))
     return total
@@ -746,7 +754,7 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | N
     out = {}
     for batch, stack in _stacks(lay, _balanced(residues, p), select):
         if stack.shape[1] > _BASE:
-            r, piv = _block_rank(stack[0], p, stack.shape[1], reduced=True)
+            r, piv = _block_rank(stack[0], p, reduced=True)
             found = [(batch[0], piv, stack[0, :r])]
         else:
             piv = _jordan_base(stack, p)
@@ -959,19 +967,15 @@ def rank(
 
     ``structural_bound`` is a caller-known upper bound on the rational
     rank; a modular rank attaining it (or min(nrows, ncols)) is promoted
-    to certified-exact.  The bound must genuinely hold: it doubles as an
-    early-exit cap, so an invalid bound is only detected (and raised)
-    when the elimination happens to contradict it.
+    to certified-exact.  The elimination always runs to completion, so an
+    invalid bound raises whenever the computed rank exceeds it.
     """
     if matrix.nnz == 0 and structural_bound is None:
         structural_bound = 0  # structurally empty: rank 0 over every field
-    cap = min(matrix.nrows, matrix.ncols)
-    if structural_bound is not None:
-        cap = min(cap, structural_bound)
     if isinstance(fieldspec, Rational):
         value = rational_rank(matrix, oracle_cap)
     else:
-        value = _rank_mod_p(matrix, fieldspec.p, cap)
+        value = _rank_mod_p(matrix, fieldspec.p)
     if structural_bound is not None and value > structural_bound:
         raise InvalidInputError(
             f"computed rank {value} exceeds declared structural bound "
@@ -992,19 +996,18 @@ def certified_rank(
     bound: int | None,
     primes: Sequence[int],
     *,
-    oracle_cap: int | None = DEFAULT_ORACLE_CAP,
-    lift: bool = True,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> RankCertificate:
     """Rank of an integer matrix, certified exact whenever a proof is in reach.
 
     ``bound`` is an upper bound on the rational rank, as for :func:`rank`.
 
     1. The rank mod ``primes[0]``, returned as it is when it reaches the bound.
-    2. Short of the bound (and with ``lift``), the kernel certificate: verified
-       kernel vectors prove the modular rank exact ("kernel-verified").
+    2. Short of the bound, the kernel certificate: verified kernel vectors
+       prove the modular rank exact ("kernel-verified").
     3. If the lift fails: the rank mod each further prime, until one reaches
        the bound;
-    4. then the rational oracle while ncols <= ``oracle_cap`` (None: never);
+    4. then the rational oracle while ncols <= ``oracle_cap`` (0: never);
     5. else the best modular rank, uncertified.
 
     A certificate reached after a failed lift says so (``lift_failed``).
@@ -1014,10 +1017,9 @@ def certified_rank(
     best = rank(matrix, PrimeField(primes[0]), structural_bound=bound)
     if best.certified_exact:
         return best
-    if lift:
-        kernel = _kernel_certificate(matrix, bound, primes)
-        if kernel is not None:
-            return kernel
+    kernel = _kernel_certificate(matrix, bound, primes)
+    if kernel is not None:
+        return kernel
     for p in primes[1:]:
         cert = rank(matrix, PrimeField(p), structural_bound=bound)
         if cert.rank >= best.rank:
@@ -1025,24 +1027,9 @@ def certified_rank(
         if cert.certified_exact:
             break
     else:
-        if oracle_cap is not None and matrix.ncols <= oracle_cap:
+        if matrix.ncols <= oracle_cap:
             best = rank(matrix, Rational(), structural_bound=bound, oracle_cap=oracle_cap)
-    return replace(best, lift_failed=True) if lift else best
-
-
-def multi_prime_rank(
-    matrix: SparseMatrix,
-    primes: Sequence[int],
-    *,
-    structural_bound: int | None = None,
-) -> RankCertificate:
-    """Best modular lower bound over several primes (early exit on exactness):
-    the modular steps of :func:`certified_rank`, with no kernel lift and no oracle."""
-    if not primes:
-        raise InvalidInputError("multi_prime_rank needs at least one prime")
-    cert = certified_rank(matrix, structural_bound, primes, oracle_cap=None, lift=False)
-    used = primes[:list(primes).index(cert.primes[0]) + 1] if cert.certified_exact else primes
-    return RankCertificate(cert.rank, "multi-prime", tuple(used), True, cert.certified_exact, structural_bound)
+    return replace(best, lift_failed=True)
 
 
 def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:

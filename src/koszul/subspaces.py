@@ -29,6 +29,7 @@ from .linalg import (
     Rational,
     field_from_json,
     integer_scaled,
+    json_int,
     rref,
 )
 
@@ -93,24 +94,28 @@ class SubspaceK:
     @staticmethod
     def from_json(data: dict) -> "SubspaceK":
         try:
-            n = int(data["n"])
+            n = json_int(data["n"], "n")
+            if n < 2:
+                raise InvalidInputError(f"need n >= 2, got n={n}")
             fieldspec = field_from_json(data["field"])
-            raw = data["basis"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed subspace JSON: {exc}") from exc
-        rows = []
-        for entries in raw:
-            row = [Fraction(0)] * comb(n, 2)
-            for entry in entries:
-                i, j = entry["pair"]
-                if not 0 <= i < j < n:
-                    raise InvalidInputError(f"pair [{i}, {j}] invalid for n={n}")
-                num = int(entry["num"])
-                den = int(entry.get("den", 1))
-                if den == 0:
-                    raise InvalidInputError("zero denominator")
-                row[pair_rank(i, j)] += Fraction(num, den)
-            rows.append(row)
+            rows = []
+            for entries in data["basis"]:
+                row = [Fraction(0)] * comb(n, 2)
+                for entry in entries:
+                    pair = entry["pair"]
+                    if not (isinstance(pair, list) and len(pair) == 2):
+                        raise InvalidInputError(f"pair must be two integers, got {pair!r}")
+                    i, j = (json_int(v, "pair index") for v in pair)
+                    if not 0 <= i < j < n:
+                        raise InvalidInputError(f"pair [{i}, {j}] invalid for n={n}")
+                    num = json_int(entry["num"], "num")
+                    den = json_int(entry.get("den", 1), "den")
+                    if den == 0:
+                        raise InvalidInputError("zero denominator")
+                    row[pair_rank(i, j)] += Fraction(num, den)
+                rows.append(row)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidInputError(f"malformed subspace JSON: {exc!r}") from exc
         return subspace_from_rows(n, rows, fieldspec)
 
 

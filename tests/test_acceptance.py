@@ -30,7 +30,7 @@ from koszul.linalg import (
     DEFAULT_PRIMES,
     PrimeField,
     SparseMatrix,
-    multi_prime_rank,
+    certified_rank,
     rank,
     rational_rank,
 )
@@ -246,9 +246,9 @@ def test_criterion_7_oracle_agreement():
     cert = rank(divisible, PrimeField(7))
     assert cert.rank == 0 and cert.certified_lower_bound and not cert.certified_exact
     assert rational_rank(divisible) == 1
-    multi = multi_prime_rank(divisible, [7])
-    assert multi.rank == 0 and not multi.certified_exact
-    assert multi_prime_rank(divisible, [7, DEFAULT_PRIMES[0]]).certified_exact
+    cert = certified_rank(divisible, None, [7], oracle_cap=0)
+    assert cert.rank == 0 and not cert.certified_exact
+    assert certified_rank(divisible, None, [7, DEFAULT_PRIMES[0]], oracle_cap=0).certified_exact
     ok(7, f"modular rank = rational rank on {checked} matrices x 3 primes; deficits flagged")
 
 

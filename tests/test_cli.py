@@ -1,11 +1,13 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
+from math import comb
 
 import pytest
 
 from koszul.cli import main
-from koszul.subspaces import weyman_K
+from koszul.subspaces import subspace_from_rows, weyman_K
 
 
 def run(capsys, argv):
@@ -198,6 +200,7 @@ def test_env_bad_primes(capsys, monkeypatch):
     (["hilbert", "--weyman", "4", "--primes", "x"], None),
     (["hilbert", "--weyman", "4"], "x"),
     (["group", "--preset", "arrangement", "--h", "a,b"], None),
+    (["hilbert", "--weyman", "4", "--primes", ""], None),
 ])
 def test_non_integer_list_exits_2(capsys, monkeypatch, argv, env):
     if env is not None:
@@ -206,6 +209,72 @@ def test_non_integer_list_exits_2(capsys, monkeypatch, argv, env):
     assert code == 2 and out == "" and "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
+
+
+GOOD_K = {"n": 4, "field": "rational", "basis": [[{"pair": [0, 1], "num": 1}, {"pair": [2, 3], "num": 2}]]}
+
+
+def k_entry(**change):
+    """GOOD_K with its first entry changed; a value of None removes the key."""
+    entry = {**GOOD_K["basis"][0][0], **change}
+    return {**GOOD_K, "basis": [[{k: v for k, v in entry.items() if v is not None}]]}
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param("{not json", id="invalid-json"),
+    pytest.param(k_entry(pair=None), id="no-pair"),
+    pytest.param(k_entry(num="x"), id="num-text"),
+    pytest.param(k_entry(pair=[0, 1, 2]), id="three-indices"),
+    pytest.param({**GOOD_K, "n": "abc"}, id="n-text"),
+    pytest.param({**GOOD_K, "field": {"prime": "x"}}, id="prime-text"),
+    pytest.param(k_entry(num=1.5), id="num-float"),  # once read as 1: a certified profile of another K
+    pytest.param(k_entry(den=2.7), id="den-float"),
+    pytest.param({**GOOD_K, "n": 4.9}, id="n-float"),
+])
+def test_malformed_k_file_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "k.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    code, out, err = run(capsys, ["hilbert", "--k-file", str(path), "--format", "csv"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
+
+
+def hyperplane_k_file(tmp_path):
+    """The hyperplane K at n=6 (dim W_3 = 4, certified by kernel vectors) as a --k-file."""
+    width, path = comb(6, 2), tmp_path / "k.json"
+    K = subspace_from_rows(6, [[int(i == j) for i in range(width)] for j in range(1, width)])
+    path.write_text(json.dumps(K.to_json()))
+    return str(path)
+
+
+# SHA-256 of each command's stdout; between them the commands reach every
+# certificate mode.  Stdout is the contract, so no change inside the rank layer
+# may move a digest.
+GOLDEN = [
+    (["hilbert", "--weyman", "7", "--format", "json"],  # mirrored blocks, spare rows
+     "7639d5c284459da0881442355ee081120855984eadc8b56cd29ed1904cfc521c"),
+    (["hilbert", "--random", "6", "9", "3", "--format", "json"],
+     "8bd1777de278072cd883dab8b06b4759e27f79872967b0e829378ae771cb7c78"),
+    (["hilbert", "--weyman", "5", "--field", "rational", "--format", "json"],  # rational-exact
+     "31e6aa58694071c2a7be244c161014866e392d2243dd521352716b864b491f4b"),
+    (["hilbert", "--weyman", "6", "--field", "prime", "--primes", "65537", "--format", "json"],
+     "284c48e2f0c50eee97af856de2f9ec9e8caf8b3a32690ba4ba231ec9e22818d8"),
+    (["resonance", "--heisenberg", "2"],
+     "e6fa040eea99aa0b035d74e2927a56286a1a77b11efb386f2e44f13933d92296"),
+    (["hilbert", "--k-file", None, "--format", "json"],  # kernel-verified
+     "e21a7dcdaa079c92cfb2fe3bb80fd08f084fdf505cd68d8f2c790b1220babf55"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_stdout(tmp_path, capsys, threads):
+    k_file = hyperplane_k_file(tmp_path)
+    for argv, digest in GOLDEN:
+        argv = [k_file if a is None else a for a in argv] + ["--threads", threads]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_cache_flag(tmp_path, capsys):
@@ -235,15 +304,9 @@ def test_truncated_cache_line_is_a_miss(capsys, tmp_path):
 
 def test_forged_cache_line_at_the_bound(capsys, tmp_path):
     import re
-    from math import comb
-
-    from koszul.subspaces import subspace_from_rows
 
     # the hyperplane K at n=6: dim W_3 = 4, a rank of 500 under the bound 504
-    width, path = comb(6, 2), tmp_path / "k.json"
-    K = subspace_from_rows(6, [[int(i == j) for i in range(width)] for j in range(1, width)])
-    path.write_text(json.dumps(K.to_json()))
-    argv = ["hilbert", "--k-file", str(path), "--format", "json"]
+    argv = ["hilbert", "--k-file", hyperplane_k_file(tmp_path), "--format", "json"]
     _, clean, _ = run(capsys, argv)
     assert [r["dim"] for r in json.loads(clean)["records"]] == [1, 2, 3, 4]
     cached = argv + ["--cache", str(tmp_path / "cache")]

@@ -426,19 +426,19 @@ def test_cache_misses_are_recomputed(tmp_path, monkeypatch):
     assert truth.dim == 4 and truth.certificate.mode == "kernel-verified"
     # a forced prime takes only a single-prime certificate over exactly that prime
     misses(3, PrimeField(p), [signed(primes=[p, DEFAULT_PRIMES[1]]), signed(primes=[DEFAULT_PRIMES[1]]),
-                              signed(mode="multi-prime")])
+                              signed(mode="kernel-verified", certified_exact=True, verified_vectors=4)])
     # forced Q takes only the oracle's certificate
     misses(1, Rational(), [signed(mode="single-prime", primes=[p])])
 
 
-def full_rank(matrix, p, cap):
+def full_rank(matrix, p):
     """The engine's rank with the matrix's mirror candidate and spare rows taken away:
     every full block eliminated."""
     from koszul.linalg import _rank_mod_p
 
     hints, matrix.mirror, matrix.spare = (matrix.mirror, matrix.spare), None, None
     try:
-        return _rank_mod_p(matrix, p, cap)
+        return _rank_mod_p(matrix, p)
     finally:
         matrix.mirror, matrix.spare = hints
 
@@ -473,11 +473,8 @@ def test_weyman_mirrored_ranks_match_full_elimination(p, n_max):
             assert matrix.mirror is not None, (n, q)
             weights = orbit_weights(matrix, p)
             assert weights is not None and 2 in weights.tolist(), (n, q)
-            cap = min(matrix.ncols, im_delta2_dim(n, q))
             expected = im_delta2_dim(n, q) - hilbert_bound(n, q)
-            assert _rank_mod_p(matrix, p, cap) == full_rank(matrix, p, cap) == expected, (n, q)
-            # a cap below the rank: swapped pairs stop at half the missing rank
-            assert _rank_mod_p(matrix, p, expected // 3) >= expected // 3, (n, q)
+            assert _rank_mod_p(matrix, p) == full_rank(matrix, p) == expected, (n, q)
 
 
 def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
@@ -515,7 +512,7 @@ def test_tampered_mirror_is_refused():
     field = PrimeField(p)
     matrix = restricted_delta2(weyman_K(6), 2)
     truth = rank(matrix, field).rank
-    assert orbit_weights(matrix, p) is not None and truth == full_rank(matrix, p, min(matrix.shape))
+    assert orbit_weights(matrix, p) is not None and truth == full_rank(matrix, p)
     pi, tau, eps = matrix.mirror
     fixed = int(np.flatnonzero((tau == np.arange(tau.size)) & np.isin(np.arange(tau.size), matrix.cols))[0])
     flipped = eps.copy()
@@ -539,7 +536,7 @@ def test_tampered_mirror_is_refused():
     tampered = SparseMatrix.from_arrays(matrix.nrows, matrix.ncols, matrix.rows, matrix.cols, vals)
     tampered.mirror = (pi, tau, eps)
     assert orbit_weights(tampered, p) is None
-    assert rank(tampered, field).rank == full_rank(tampered, p, min(tampered.shape))
+    assert rank(tampered, field).rank == full_rank(tampered, p)
 
 
 def test_no_mirror_without_reversal_symmetry():
@@ -588,10 +585,9 @@ def test_projected_ranks_match_full_elimination(p):
         n = K.n
         for q in range(n - 2):
             matrix = restricted_delta2(K, q)
-            cap = min(matrix.ncols, im_delta2_dim(n, q))
             expected = im_delta2_dim(n, q) - dim(n, q)
-            projected = _rank_mod_p(matrix, p, cap)
-            assert projected == full_rank(matrix, p, cap), (n, q)
+            projected = _rank_mod_p(matrix, p)
+            assert projected == full_rank(matrix, p), (n, q)
             # mod 3 the rank of Weyman's and the random K falls below the rational rank
             assert projected == expected if p != 3 else projected <= expected, (n, q)
 
@@ -638,7 +634,7 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     need = 8 * 504 * (504 + 6 * linalg._PANEL)  # the projected block and its workspace
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     with pytest.raises(ResourceLimitError):
-        full_rank(matrix, p, 504)
+        full_rank(matrix, p)
     assert calls == []
     assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(504, 504)]
     calls.clear()

@@ -22,7 +22,6 @@ from koszul.linalg import (
     bareiss_rank,
     certified_rank,
     is_prime,
-    multi_prime_rank,
     nullspace,
     rank,
     rational_rank,
@@ -214,11 +213,21 @@ def test_modular_rank_deficient_with_zero_columns():
         assert got == gauss_rank_mod_p(dense, p) and got <= 12
 
 
-def test_structural_bound_stops_elimination_early(monkeypatch):
+def test_false_structural_bound_raises(monkeypatch):
     import koszul.linalg as linalg
 
-    # rank 100 by construction: independent triangular rows first, then
-    # negated copies, so the first panel already reaches the rank
+    # a random 200 x 200 matrix has rank 200: a bound of 128 is false, and the
+    # full elimination exposes it through rank and certified_rank alike
+    rng = random.Random(4)
+    m = from_dense([[rng.randint(-9, 9) for _ in range(200)] for _ in range(200)])
+    assert rank(m, PrimeField(2**31 - 1)).rank == 200
+    with pytest.raises(InvalidInputError):
+        rank(m, PrimeField(2**31 - 1), structural_bound=128)
+    with pytest.raises(InvalidInputError):
+        certified_rank(m, 128, DEFAULT_PRIMES)
+    # a true bound certifies the rank and stops no elimination early: rank 100
+    # by construction, independent triangular rows first, then negated copies,
+    # so the first panel already reaches the rank
     rng = random.Random(5)
     n, r = 300, 100
     top = [[0] * i + [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - i - 1)] for i in range(r)]
@@ -232,12 +241,12 @@ def test_structural_bound_stops_elimination_early(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jordan", counting)
     field = PrimeField(DEFAULT_PRIMES[0])
-    capped = rank(m, field, structural_bound=r)
-    capped_calls = len(calls)
+    bounded = rank(m, field, structural_bound=r)
+    bounded_calls = len(calls)
     full = rank(m, field)
-    assert capped.rank == full.rank == r
-    assert capped.certified_exact and not full.certified_exact
-    assert 0 < capped_calls < len(calls) - capped_calls
+    assert bounded.rank == full.rank == r
+    assert bounded.certified_exact and not full.certified_exact
+    assert 0 < bounded_calls == len(calls) - bounded_calls
 
 
 def test_modular_rank_many_components():
@@ -299,28 +308,30 @@ def test_seven_divisible_demonstrates_lower_bound_only():
     assert cert.rank == 0
     assert cert.certified_lower_bound and not cert.certified_exact
     assert rank(m, Rational()).rank == 1
-    multi = multi_prime_rank(m, [7])
-    assert multi.rank == 0 and not multi.certified_exact
-    multi2 = multi_prime_rank(m, [7, 11])
-    assert multi2.rank == 1 and multi2.certified_exact
+    # with no oracle: one prime dividing the entry certifies nothing, a second one does
+    cert = certified_rank(m, None, [7], oracle_cap=0)
+    assert cert.rank == 0 and not cert.certified_exact
+    cert = certified_rank(m, None, [7, 11], oracle_cap=0)
+    assert cert.rank == 1 and cert.certified_exact and cert.primes == (11,)
 
 
 def test_multi_prime_single_matches_rank():
+    # certified_rank over one prime reports that prime's rank, certified or not
     p = DEFAULT_PRIMES[2]
     for seed in range(6):
         m = random_sparse(8, 9, 0.4, seed + 200)
         single = rank(m, PrimeField(p))
-        multi = multi_prime_rank(m, [p])
-        assert multi.rank == single.rank
-        assert multi.mode == "multi-prime" and single.mode == "single-prime"
+        cert = certified_rank(m, None, [p], oracle_cap=0)
+        assert cert.rank == single.rank and cert.primes[0] == p
+        assert single.mode == "single-prime" and cert.mode in ("single-prime", "kernel-verified")
 
 
 def test_multi_prime_matches_rational_on_randoms():
     for seed in range(30):
         m = random_sparse(12, 10, 0.45, seed + 300)
         rq = rank(m, Rational()).rank
-        cert = multi_prime_rank(m, DEFAULT_PRIMES)
-        assert cert.rank == rq
+        cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
+        assert cert.rank == rq and cert.certified_exact
 
 
 def test_rank_determinism():
@@ -440,7 +451,9 @@ def test_certificate_invariants():
         RankCertificate(1, "rational-exact", (), True, False)
     with pytest.raises(InvalidInputError):
         RankCertificate(1, "single-prime", ())
-    cert = RankCertificate(3, "multi-prime", (7, 11), True, False)
+    with pytest.raises(InvalidInputError):
+        RankCertificate(3, "bogus", (7,), True, False)
+    cert = RankCertificate(3, "single-prime", (7, 11), True, False)
     assert RankCertificate.from_json(cert.to_json()) == cert
     assert "verified_vectors" not in cert.to_json() and "lift_failed" not in cert.to_json()
     kernel = RankCertificate(3, "kernel-verified", (7, 11), True, True, 5, verified_vectors=2)
@@ -479,8 +492,8 @@ def test_transpose_rank_medium():
 
 def test_multi_prime_50x50():
     m = random_sparse(50, 50, 0.5, 4096)
-    cert = multi_prime_rank(m, DEFAULT_PRIMES)
-    assert cert.rank == rank(m, Rational()).rank
+    cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.rank == rank(m, Rational()).rank and cert.certified_exact
 
 
 def low_rank(rng, nrows, ncols, r, lo, hi):
@@ -569,11 +582,11 @@ def test_unlucky_first_prime_is_retried():
     # reference meets 11's larger rank, restarts with 11 and certifies rank 2
     dense = [[1, 1, 1], [1, 8, 1], [2, 9, 2]]
     assert gauss_rank_rational(dense) == 2 and gauss_rank_mod_p(dense, 7) == 1
-    cert = certified_rank(from_dense(dense), 3, (7, 11), oracle_cap=None)
+    cert = certified_rank(from_dense(dense), 3, (7, 11), oracle_cap=0)
     assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
     assert cert.rank == 2 and cert.primes[0] == 11 and cert.verified_vectors == 1
     # a larger rank found by a prime that was not given still gives up
-    cert = certified_rank(from_dense(dense), 3, (7,), oracle_cap=None)
+    cert = certified_rank(from_dense(dense), 3, (7,), oracle_cap=0)
     assert cert.rank == 1 and not cert.certified_exact and cert.lift_failed
 
 
