@@ -59,12 +59,10 @@ from .resonance import (
     DecomposableWitness,
     PencilAnalysis,
     ResonanceVerdict,
-    decomposable_search,
     kperp_basis,
     pencil_decomposable,
     resonance_vanishes,
     split_decomposable,
-    transversality_check,
     wedge_square,
 )
 from .subspaces import (

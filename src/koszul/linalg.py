@@ -864,39 +864,21 @@ class _KernelLift:
         return True
 
 
-def _kernel_certificate(matrix: SparseMatrix, bound: int | None, primes: Sequence[int]) -> RankCertificate | None:
-    """Rank certified by kernel vectors verified over Z, or None when the lift fails.
+def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadamard: np.ndarray,
+                        bound: int | None, primes: list[int]) -> RankCertificate | None:
+    """Rank certified by kernel vectors verified over Z with primes[0] as the reference
+    prime, or None when the lift fails.
 
-    Blocks come from the exact nonzero pattern, so an entry that vanishes mod p
-    stays in its block as a zero.  Each block short of full row rank mod the
-    reference prime gets one kernel vector per free column of its reduced echelon
-    form; the entries are lifted by rational reconstruction, adding primes by CRT,
-    until the vectors annihilate the block's exact triplets.  The lift fails when
-    several primes disagree on the pivot columns, when the lifted vectors stop
-    changing, or when the modulus passes twice the square of the block's Hadamard
-    bound.  A later prime that finds a larger rank shows the reference prime
-    unlucky: when it is one of the given primes, the certificate starts again with
-    it as the reference (so at most once per given prime), else it fails.
+    ``lay`` holds the blocks of the exact nonzero pattern, so an entry that vanishes
+    mod p stays in its block as a zero; ``hadamard`` is their _hadamard_log2.  Each
+    block short of full row rank mod the reference prime gets one kernel vector per
+    free column of its reduced echelon form; the entries are lifted by rational
+    reconstruction, adding primes by CRT (see _lift_primes), until the vectors
+    annihilate the block's exact triplets.  The lift fails when several primes
+    disagree on the pivot columns, when the lifted vectors stop changing, when the
+    modulus passes twice the square of the block's Hadamard bound, or when a later
+    prime finds a larger rank, which shows the reference prime unlucky.
     """
-    if matrix.nnz == 0:
-        return RankCertificate(0, "kernel-verified", (primes[0],), True, True, bound, 0)
-    lay = _layout(matrix.rows, matrix.cols, _components(matrix.rows, matrix.cols, matrix.nrows))
-    hadamard = _hadamard_log2(lay, matrix)
-    vals = matrix.vals
-    given, tried = list(dict.fromkeys(primes)), []
-    reference = given[0]
-    while True:
-        tried.append(reference)
-        cert, better = _kernel_attempt(matrix, lay, vals, hadamard, bound, [reference] + given)
-        if better not in given or better in tried:
-            return cert
-        reference = better
-
-
-def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadamard: np.ndarray,
-                    bound: int | None, primes: list[int]) -> tuple[RankCertificate | None, int | None]:
-    """One kernel certificate with primes[0] as the reference prime: (the certificate
-    or None, and the prime that found a larger rank than the reference, if one did)."""
     gen = _lift_primes(primes)
     used = [next(gen)]
     found = _echelons(lay, matrix.residues(used[0]), used[0])
@@ -904,9 +886,6 @@ def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadama
     if bound is not None and total > bound:
         raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
                                 f"{bound}; the bound is invalid")
-    cert = _certify(total, PrimeField(used[0]), matrix, bound)
-    if cert.certified_exact:
-        return cert, None
     order = np.argsort(lay.comp, kind="stable")
     starts = np.searchsorted(lay.comp[order], np.arange(lay.h.size + 1))
     pending = {c: _KernelLift(cols, rows, lay.w[c], used[0]) for c, (cols, rows) in found.items() if rows is not None}
@@ -922,10 +901,10 @@ def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadama
                     del pending[c]
                     continue
                 if lift.last is not None and np.array_equal(lift.last, basis):
-                    return None, None
+                    return None
                 lift.last = basis
             if log2(lift.modulus) > 2 * hadamard[c] + 1:
-                return None, None
+                return None
         if not pending:
             break
         p = next(gen)
@@ -935,12 +914,12 @@ def _kernel_attempt(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadama
         fresh = set()
         for c, (cols, rows) in _echelons(lay, matrix.residues(p), p, select).items():
             if len(cols) > len(pending[c].cols):
-                return None, p  # the reference prime undercounts this block's rank
+                return None  # the reference prime undercounts this block's rank
             if pending[c].absorb(cols, rows, p):
                 fresh.add(c)
             elif pending[c].skipped > 2:
-                return None, None
-    return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors), None
+                return None
+    return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,34 +980,40 @@ def certified_rank(
     """Rank of an integer matrix, certified exact whenever a proof is in reach.
 
     ``bound`` is an upper bound on the rational rank, as for :func:`rank`.
+    For each distinct given prime p, in order:
 
-    1. The rank mod ``primes[0]``, returned as it is when it reaches the bound.
-    2. Short of the bound, the kernel certificate: verified kernel vectors
-       prove the modular rank exact ("kernel-verified").
-    3. If the lift fails: the rank mod each further prime, until one reaches
-       the bound;
-    4. then the rational oracle while ncols <= ``oracle_cap`` (0: never);
-    5. else the best modular rank, uncertified.
+    1. the rank mod p, returned when it reaches the bound;
+    2. short of it, the kernel certificate with p as the reference prime:
+       verified kernel vectors prove the modular rank exact ("kernel-verified").
 
-    A certificate reached after a failed lift says so (``lift_failed``).
+    Only after every given prime's lift failed:
+
+    3. the rational oracle while ncols <= ``oracle_cap`` (0: never);
+    4. else the best modular rank, uncertified.
+
+    A certificate of steps 1, 3 or 4 reached after a failed lift says so
+    (``lift_failed``).
     """
     if not primes:
         raise InvalidInputError("certified_rank needs at least one prime")
-    best = rank(matrix, PrimeField(primes[0]), structural_bound=bound)
-    if best.certified_exact:
-        return best
-    kernel = _kernel_certificate(matrix, bound, primes)
-    if kernel is not None:
-        return kernel
-    for p in primes[1:]:
+    given = list(dict.fromkeys(primes))
+    best = lay = None
+    for p in given:
         cert = rank(matrix, PrimeField(p), structural_bound=bound)
-        if cert.rank >= best.rank:
-            best = cert
         if cert.certified_exact:
-            break
-    else:
-        if matrix.ncols <= oracle_cap:
-            best = rank(matrix, Rational(), structural_bound=bound, oracle_cap=oracle_cap)
+            return cert if best is None else replace(cert, lift_failed=True)
+        if best is None or cert.rank >= best.rank:
+            best = cert
+        if matrix.nnz == 0:
+            return RankCertificate(0, "kernel-verified", (p,), True, True, bound, 0)
+        if lay is None:
+            lay = _layout(matrix.rows, matrix.cols, _components(matrix.rows, matrix.cols, matrix.nrows))
+            vals, hadamard = matrix.vals, _hadamard_log2(lay, matrix)
+        kernel = _kernel_certificate(matrix, lay, vals, hadamard, bound, [p] + given)
+        if kernel is not None:
+            return kernel
+    if matrix.ncols <= oracle_cap:
+        best = rank(matrix, Rational(), structural_bound=bound, oracle_cap=oracle_cap)
     return replace(best, lift_failed=True)
 
 

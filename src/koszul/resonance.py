@@ -1,25 +1,23 @@
-"""Resonance vanishing and independent decomposability oracles.
+"""Resonance vanishing and an exact decomposability oracle.
 
 The resonance variety of (V, K) is the cone of covectors a admitting b
 with a ^ b in K-perp \\ {0}; it reduces to {0} exactly when the degree
 n-3 piece of W(V,K) vanishes, which is how :func:`resonance_vanishes`
 decides it.  Independently, resonance is nontrivial iff the projective
 span of K-perp meets the locus of decomposable 2-forms, and a 2-form w
-is decomposable iff w ^ w = 0; the oracles here exploit that: an exact
-pencil analysis when dim K-perp <= 2, and an exhaustive projective scan
-over a small prime field otherwise (evidence only, unless the witness
-lifts to Q).
+is decomposable iff w ^ w = 0; :func:`pencil_decomposable` exploits that
+with an exact analysis when dim K-perp <= 2, and attaches a witness to
+negative verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, isqrt
 
-from .bases import pair_rank, pair_unrank, sym_dim
-from .errors import InvalidInputError, ResourceLimitError
+from .bases import pair_rank, pair_unrank
+from .errors import InvalidInputError
 from .hilbert import w_dim
 from .linalg import (
     DEFAULT_ORACLE_CAP,
@@ -49,7 +47,7 @@ def kperp_basis(subspace: SubspaceK) -> list[list[int]]:
     return nullspace(matrix, subspace.field)
 
 
-def wedge_square(omega, n: int, p: int | None = None) -> list:
+def wedge_square(omega, n: int) -> list:
     """Coefficients of w ^ w on the 4-form basis (colex order).
 
     For n < 4 the target space is zero and the empty vector is returned:
@@ -67,12 +65,11 @@ def wedge_square(omega, n: int, p: int | None = None) -> list:
                         - omega[pair_rank(i, k)] * omega[pair_rank(j, l)]
                         + omega[pair_rank(i, l)] * omega[pair_rank(j, k)]
                     )
-                    val = 2 * val
-                    out.append(val % p if p is not None else val)
+                    out.append(2 * val)
     return out
 
 
-def split_decomposable(omega, n: int, p: int | None = None) -> tuple[list, list]:
+def split_decomposable(omega, n: int) -> tuple[list, list]:
     """Factor a decomposable 2-form as a ^ b (requires w ^ w = 0, w != 0).
 
     The skew matrix of w has rank 2; two independent columns span the
@@ -83,7 +80,7 @@ def split_decomposable(omega, n: int, p: int | None = None) -> tuple[list, list]
         if v:
             i, j = pair_unrank(n, idx)
             mat[i][j] = v
-            mat[j][i] = -v if p is None else (-v) % p
+            mat[j][i] = -v
     first = next(
         ((i, j) for j in range(n) for i in range(j) if mat[i][j] != 0), None
     )
@@ -91,32 +88,12 @@ def split_decomposable(omega, n: int, p: int | None = None) -> tuple[list, list]
         raise InvalidInputError("cannot factor the zero 2-form")
     i0, j0 = first
     a = [row[j0] for row in mat]
-    b = [row[i0] for row in mat]
-    pivot = mat[i0][j0]
-    if p is None:
-        scale = Fraction(-1) / Fraction(pivot)
-        b = [Fraction(v) * scale for v in b]
-    else:
-        scale = (p - 1) * pow(pivot, p - 2, p) % p
-        a = [v % p for v in a]
-        b = [v * scale % p for v in b]
-    check = _wedge_pair(a, b, n, p)
-    if p is not None:
-        ok = all((x - y) % p == 0 for x, y in zip(check, omega))
-    else:
-        ok = all(Fraction(x) == Fraction(y) for x, y in zip(check, omega))
-    if not ok:
+    scale = Fraction(-1) / Fraction(mat[i0][j0])
+    b = [Fraction(row[i0]) * scale for row in mat]
+    check = [a[i] * b[j] - a[j] * b[i] for j in range(1, n) for i in range(j)]
+    if any(x != y for x, y in zip(check, omega)):
         raise InvalidInputError("2-form is not decomposable")
     return a, b
-
-
-def _wedge_pair(a, b, n: int, p: int | None = None) -> list:
-    out = []
-    for j in range(1, n):
-        for i in range(j):
-            v = a[i] * b[j] - a[j] * b[i]
-            out.append(v % p if p is not None else v)
-    return out
 
 
 def pairs_with(subspace: SubspaceK, omega) -> bool:
@@ -340,79 +317,3 @@ def _make_witness(subspace: SubspaceK, omega) -> DecomposableWitness:
     if not pairs_with(subspace, omega):
         raise InvalidInputError("witness escaped K-perp; inconsistent basis")
     return witness
-
-
-def decomposable_search(
-    subspace: SubspaceK, p: int, budget: int = 10**6
-) -> DecomposableWitness | None:
-    """Exhaustive projective scan of K-perp over F_p for decomposable forms.
-
-    Points are enumerated pivot-first (first nonzero coordinate 1, tail
-    counting up), so the first witness is deterministic.  For rational
-    subspaces a find is lifted through centered representatives and
-    re-verified over Q; if the lift fails it is returned as mod-p
-    evidence only, which never proves nonvanishing resonance over C.
-    """
-    field = PrimeField(p)
-    if isinstance(subspace.field, PrimeField) and subspace.field.p != p:
-        raise InvalidInputError("scan prime must match the subspace's own field")
-    basis = kperp_basis(subspace)
-    dim = len(basis)
-    if p**dim > budget:
-        raise ResourceLimitError(f"p^dim = {p}^{dim} exceeds the budget {budget}")
-    n = subspace.n
-    reduced = [[v % p for v in row] for row in basis]
-    width = subspace.pair_count
-    for pivot in range(dim):
-        for tail in product(range(p), repeat=dim - 1 - pivot):
-            coeffs = [0] * pivot + [1] + list(tail)
-            omega = [0] * width
-            for t, c in enumerate(coeffs):
-                if c:
-                    for idx in range(width):
-                        omega[idx] = (omega[idx] + c * reduced[t][idx]) % p
-            if not any(omega):
-                continue
-            if any(wedge_square(omega, n, p)):
-                continue
-            if not isinstance(subspace.field, PrimeField):
-                centered = [c if c <= p // 2 else c - p for c in coeffs]
-                lift = [0] * width
-                for t, c in enumerate(centered):
-                    if c:
-                        for idx in range(width):
-                            lift[idx] += c * basis[t][idx]
-                if any(lift) and not any(wedge_square(lift, n)) and pairs_with(subspace, lift):
-                    a, b = split_decomposable(lift, n)
-                    return DecomposableWitness(tuple(a), tuple(b), tuple(lift), "rational", True)
-            a, b = split_decomposable(omega, n, p)
-            return DecomposableWitness(tuple(a), tuple(b), tuple(omega), field.token(), False)
-    return None
-
-
-def transversality_check(
-    subspace: SubspaceK,
-    q: int,
-    *,
-    primes=None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    cache: RankCache | None = None,
-) -> bool:
-    """Whether K (x) Sym^q meets the kernel of delta_{2,q} trivially.
-
-    Only meaningful in the borderline case m = 2n-3 (where the target
-    degree is square); equivalently the restricted matrix has full column
-    rank.  The answer is always certified; undecidable instances raise.
-    """
-    n = subspace.n
-    if subspace.effective_m != 2 * n - 3:
-        raise InvalidInputError(
-            f"transversality requires the borderline m = 2n-3 = {2 * n - 3}, "
-            f"got m = {subspace.effective_m}"
-        )
-    if not 0 <= q <= n - 3:
-        raise InvalidInputError(f"need 0 <= q <= n-3, got q={q}")
-    res = w_dim(subspace, q, None, primes=primes, oracle_cap=oracle_cap, cache=cache)
-    if not res.certified:
-        raise ResourceLimitError("transversality undecided under the configured caps")
-    return res.certificate.rank == subspace.effective_m * sym_dim(n, q)

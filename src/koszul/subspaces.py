@@ -17,6 +17,7 @@ read off from cup-product structure constants, and seeded random draws.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -180,26 +181,23 @@ def weyman_K(n: int) -> SubspaceK:
     """
     if n < 3:
         raise InvalidInputError(f"need n >= 3, got n={n}")
-    d = n - 1
-    vec: dict[tuple[int, int], int] = {(d - 1, d): 1}
     rows = []
-    width = comb(n, 2)
-    for _ in range(2 * d - 1):
-        row = [0] * width
+    for vec in weyman_orbit_vectors(n):
+        row = [0] * comb(n, 2)
         for (i, j), c in vec.items():
             row[pair_rank(i, j)] = c
         rows.append(row)
-        vec = _raise_derivation(vec)
     return subspace_from_rows(n, rows, Rational())
 
 
 def weyman_orbit_vectors(n: int) -> list[dict[tuple[int, int], int]]:
-    """Raw raising-operator orbit (pre-canonicalization), for weight checks."""
+    """The 2n-3 iterates of m_{n-2} ^ m_{n-1} under the raising operator, as
+    {(i, j): coefficient} (before canonicalization)."""
     d = n - 1
     vec: dict[tuple[int, int], int] = {(d - 1, d): 1}
     out = []
     for _ in range(2 * d - 1):
-        out.append(dict(vec))
+        out.append(vec)
         vec = _raise_derivation(vec)
     return out
 
@@ -290,15 +288,27 @@ class CupProductData:
     @staticmethod
     def from_json(data: dict) -> "CupProductData":
         try:
-            n, h2 = int(data["n"]), int(data["h2"])
-            raw = data["constants"]
+            n, h2 = json_int(data["n"], "n"), json_int(data["h2"], "h2")
+            constants = {}
+            for item in data["constants"]:
+                pair = item["pair"]
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise InvalidInputError(f"pair must be two integers, got {pair!r}")
+                i, j = (json_int(v, "pair index") for v in pair)
+                constants[(i, j)] = [_json_fraction(v) for v in item["values"]]
         except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed cup-product JSON: {exc}") from exc
-        constants = {}
-        for item in raw:
-            i, j = item["pair"]
-            constants[(i, j)] = [Fraction(v) for v in item["values"]]
+            raise InvalidInputError(f"malformed cup-product JSON: {exc!r}") from exc
         return CupProductData.build(n, h2, constants)
+
+
+def _json_fraction(value) -> Fraction:
+    """A JSON integer or an "n/d" string with d > 0, as CupProductData.to_json writes them."""
+    if isinstance(value, str):
+        match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", value)
+        if match is None or int(match[2]) == 0:
+            raise InvalidInputError(f'value must be an integer or "n/d", got {value!r}')
+        return Fraction(int(match[1]), int(match[2]))
+    return Fraction(json_int(value, "value"))
 
 
 def from_cup_data(data: CupProductData) -> SubspaceK:

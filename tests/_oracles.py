@@ -77,3 +77,30 @@ def union_find_components(rows, cols, nrows):
     roots = [find(r) for r in rows]
     number = {root: k for k, root in enumerate(sorted(set(roots)))}
     return [number[root] for root in roots]
+
+
+def decomposable_search(subspace, p: int):
+    """Projective scan of K-perp over F_p for a 2-form w with w ^ w = 0 mod p.
+
+    Points are taken pivot-first (first nonzero coordinate 1, the tail counting
+    up), so the first find is deterministic.  Returns None, or the first find as
+    (lift, lifted): ``lift`` is its combination of the rational K-perp basis with
+    centred coefficients, and ``lifted`` says that the lift is decomposable over Q
+    and annihilates K, a genuine point of the resonance cone.  A find that does
+    not lift is evidence mod p only.
+    """
+    from itertools import product
+
+    from koszul.resonance import kperp_basis, pairs_with, wedge_square
+
+    basis = kperp_basis(subspace)
+    dim, n = len(basis), subspace.n
+    for pivot in range(dim):
+        for tail in product(range(p), repeat=dim - 1 - pivot):
+            coeffs = [0] * pivot + [1] + list(tail)
+            centred = [c if c <= p // 2 else c - p for c in coeffs]
+            lift = [sum(c * row[idx] for c, row in zip(centred, basis)) for idx in range(len(basis[0]))]
+            if all(v % p == 0 for v in lift) or any(v % p for v in wedge_square(lift, n)):
+                continue
+            return lift, not any(wedge_square(lift, n)) and pairs_with(subspace, lift)
+    return None

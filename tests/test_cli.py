@@ -264,6 +264,8 @@ GOLDEN = [
      "e6fa040eea99aa0b035d74e2927a56286a1a77b11efb386f2e44f13933d92296"),
     (["hilbert", "--k-file", None, "--format", "json"],  # kernel-verified
      "e21a7dcdaa079c92cfb2fe3bb80fd08f084fdf505cd68d8f2c790b1220babf55"),
+    (["resonance", "--k-file", None, "--format", "json"],  # kernel-verified, with a witness
+     "891f9875125729de633c82f2c304b02b678f4b0641f305df51397fbbd38f4301"),
 ]
 
 

@@ -590,6 +590,30 @@ def test_unlucky_first_prime_is_retried():
     assert cert.rank == 1 and not cert.certified_exact and cert.lift_failed
 
 
+def test_every_given_prime_is_a_reference(monkeypatch):
+    import koszul.linalg as linalg
+
+    # rank 2 over Q, 1 mod 7 and mod 11: their lifts stall on the entry 77
+    # (the lifted vector stops changing) before 13 is reached; 13 as the
+    # reference sees the full rank and its kernel vector verifies
+    m = SparseMatrix(3, 3, [(0, 0, 77), (1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)])
+    cert = certified_rank(m, None, (7, 11, 13), oracle_cap=0)
+    assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
+    assert cert.rank == 2 and cert.primes[0] == 13 and cert.verified_vectors == 1
+    # each distinct given prime is the reference once, in order
+    references = []
+    kernel = linalg._kernel_certificate
+
+    def counted(matrix, lay, vals, hadamard, bound, primes):
+        references.append(primes[0])
+        return kernel(matrix, lay, vals, hadamard, bound, primes)
+
+    monkeypatch.setattr(linalg, "_kernel_certificate", counted)
+    cert = certified_rank(m, None, (7, 11, 7, 11), oracle_cap=0)
+    assert cert.rank == 1 and not cert.certified_exact and cert.lift_failed
+    assert references == [7, 11]
+
+
 def assert_labels_match_union_find(rows, cols, nrows):
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     labels = _components(rows, cols, nrows)

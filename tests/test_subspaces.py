@@ -1,5 +1,6 @@
 """Subspace canonicalization and the distinguished constructions."""
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -147,9 +148,43 @@ def test_cup_data_validation():
         CupProductData.build(3, 2, {(0, 1): [1]})
 
 
+# valid; each change in test_cup_data_json_validation makes it invalid
+GOOD_CUP = {"n": 3, "h2": 1, "constants": [{"pair": [0, 1], "values": ["1/2"]}]}
+
+
 def test_cup_data_json_roundtrip():
     data = CupProductData.build(3, 1, {(0, 1): [Fraction(1, 2)], (1, 2): [3]})
     assert CupProductData.from_json(data.to_json()) == data
+    data = CupProductData.build(3, 1, {(0, 2): [Fraction(-7, 3)]})
+    assert CupProductData.from_json(json.loads(json.dumps(data.to_json()))) == data
+    data = heisenberg_cup_data(2)
+    assert CupProductData.from_json(json.loads(json.dumps(data.to_json()))) == data
+    assert CupProductData.from_json(GOOD_CUP) == CupProductData.build(3, 1, {(0, 1): [Fraction(1, 2)]})
+
+
+@pytest.mark.parametrize("change", [
+    {"n": 4.9},
+    {"h2": True},
+    {"n": "3"},
+    {"constants": [{"pair": [0, 1, 2], "values": [1]}]},
+    {"constants": [{"pair": [0], "values": [1]}]},
+    {"constants": [{"pair": (0, 1), "values": [1]}]},
+    {"constants": [{"pair": [0.0, 1], "values": [1]}]},
+    {"constants": [{"values": [1]}]},
+    {"constants": [{"pair": [0, 1]}]},
+    {"constants": [{"pair": [0, 1], "values": ["x"]}]},
+    {"constants": [{"pair": [0, 1], "values": [0.5]}]},
+    {"constants": [{"pair": [0, 1], "values": [False]}]},
+    {"constants": [{"pair": [0, 1], "values": ["1/0"]}]},
+    {"constants": [{"pair": [0, 1], "values": ["0.5"]}]},
+    {"constants": [{"pair": [0, 1], "values": [" 1/2"]}]},
+    {"constants": [{"pair": [0, 1], "values": 1}]},
+    {"constants": ["pair"]},
+    {"constants": None},
+])
+def test_cup_data_json_validation(change):
+    with pytest.raises(InvalidInputError):
+        CupProductData.from_json({**GOOD_CUP, **change})
 
 
 def test_random_K_deterministic():
