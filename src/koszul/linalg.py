@@ -23,7 +23,10 @@ upper bound instead: it lifts one kernel vector per free column of the
 reduced echelon form mod p to Z (rational reconstruction, CRT over more
 primes while the Hadamard bound allows) and checks each exactly against
 the integer triplets.  The vectors are independent (the identity on the
-free columns), so r <= rank over Q <= r.
+free columns), so r <= rank over Q <= r.  All rank-deficient components
+are lifted and checked together: their blocks' columns side by side, the
+k-th vector of every block in slot k, so a lift round is one rational
+reconstruction pass and one exact check, whatever the number of blocks.
 
 The modular engine eliminates each connected component of the bipartite
 nonzero pattern on a dense float64 block of balanced residues: blocks of
@@ -747,22 +750,41 @@ def _lift_primes(given: Sequence[int]):
             yield p
 
 
-def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | None = None) -> dict:
-    """Per selected component: the pivot columns of its block's reduced echelon form mod p
-    and, when they are fewer than the block's rows, its pivot rows as residues in [0, p);
-    ``residues`` holds each triplet's value in [0, p)."""
-    out = {}
+def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | None = None):
+    """The reduced echelon forms mod p of the selected blocks (all by default), their columns
+    laid side by side at the offsets cumsum(lay.w) - lay.w; ``residues`` holds each triplet's
+    value in [0, p).  Returns each component's pivot count (0 unless selected), each column's
+    place in its block's sequence of pivot columns (-1 for a free column, so that two forms
+    agree on a block's pivot columns, in order, where they agree on its columns), and the
+    kernel vectors mod p of every block short of full row rank as entries (column, slot,
+    residue) sorted by column, then slot: slot k holds the vector of the block's k-th free
+    column, 1 there and minus that column of the reduced echelon form at the pivot columns."""
+    offset = np.cumsum(lay.w) - lay.w
+    rank = np.zeros(lay.h.size, dtype=np.int64)
+    pivot = np.full(int(lay.w.sum()), -1, dtype=np.int64)
+    found = [np.zeros((3, 0), dtype=np.int64)]
     for batch, stack in _stacks(lay, _balanced(residues, p), select):
         if stack.shape[1] > _BASE:
-            r, piv = _block_rank(stack[0], p, reduced=True)
-            found = [(batch[0], piv, stack[0, :r])]
+            r, cols = _block_rank(stack[0], p, reduced=True)
+            stack, piv = stack[:, :r], np.array(cols, dtype=np.int64).reshape(1, r)
         else:
             piv = _jordan_base(stack, p)
-            found = [(c, piv[b][piv[b] >= 0].tolist(), stack[b][piv[b] >= 0]) for b, c in enumerate(batch)]
-        for c, cols, rows in found:
-            deficient = len(cols) < stack.shape[1]
-            out[int(c)] = (tuple(cols), rows.astype(np.int64) % p if deficient else None)
-    return out
+        b, i = np.nonzero(piv >= 0)  # the pivot rows
+        rank[batch] = np.bincount(b, minlength=batch.size)
+        start = offset[batch]
+        pivot[start[b] + piv[b, i]] = (np.cumsum(piv >= 0, axis=1) - 1)[b, i]
+        free = np.ones((batch.size, stack.shape[2]), dtype=bool)
+        free[b, piv[b, i]] = False
+        free &= (rank[batch] < lay.h[batch])[:, None]
+        slot = np.cumsum(free, axis=1) - 1
+        fb, fc = np.nonzero(free)
+        t, f = np.nonzero(free[b])  # each pivot row's entries at the free columns
+        found.append([np.concatenate((start[fb] + fc, start[b[t]] + piv[b[t], i[t]])),
+                      np.concatenate((slot[fb, fc], slot[b[t], f])),
+                      np.concatenate((np.ones(fb.size, dtype=np.int64), (-stack[b[t], i[t], f]).astype(np.int64) % p))])
+    col, slot, val = np.concatenate(found, axis=1)
+    order = np.lexsort((slot, col))
+    return rank, pivot, (col[order], slot[order], val[order])
 
 
 def _ratrecon(u: int, m: int, bound: int) -> int | None:
@@ -775,41 +797,65 @@ def _ratrecon(u: int, m: int, bound: int) -> int | None:
     return abs(s1) if 0 < abs(s1) <= bound else None
 
 
-def _lift(residues: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Integer vectors from rational ones known mod ``modulus``, one per column of
-    ``residues``: a common denominator ``den`` per column and the numerators
-    residues*den (mod modulus), all at most sqrt(modulus/2) in size, or None when
-    rational reconstruction finds no such fractions."""
-    bound = isqrt((modulus - 1) // 2)
-    half = modulus // 2
-    den = [1] * residues.shape[1]
-    for i, k in zip(*np.nonzero(np.abs(np.where(residues > half, residues - modulus, residues)) > bound)):
-        x = int(residues[i, k]) * den[k] % modulus
-        if min(x, modulus - x) <= bound:
+def _lift(residues: np.ndarray, modulus: np.ndarray, owner: np.ndarray,
+          slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer vectors from rational ones known mod the modulus of each component, given by
+    their entries: ``residues`` in [0, modulus), each in the vector ``slot`` of the component
+    ``owner``.  Each vector gets a common denominator den and the numerators residues*den
+    (mod its modulus), all at most sqrt(modulus/2) in size.  Returns whether each
+    component's vectors were found this way and the numerators (0 for a component whose
+    were not): int64 while every modulus is below 2^31, else Python ints, computed in place
+    of ``residues`` when it has that dtype."""
+    present = np.bincount(owner, minlength=modulus.size) > 0
+    moduli = modulus[present].tolist()
+    dtype = np.int64 if max(moduli, default=0) < 2**31 else object
+    mod, bound = np.ones(modulus.size, dtype=dtype), np.zeros(modulus.size, dtype=dtype)
+    mod[present], bound[present] = moduli, [isqrt((m - 1) // 2) for m in moduli]
+    each = owner if len(set(moduli)) > 1 else owner[:1]  # per entry, or one for all
+    m, b, num = mod[each], bound[each], residues.astype(dtype, copy=False)
+    den = np.ones((modulus.size, int(slot.max(initial=-1)) + 1), dtype=dtype)
+    lifted = np.ones(modulus.size, dtype=bool)
+    for i in np.flatnonzero((num > b) & (num < m - b)):  # balanced residue above the bound
+        c, k = owner[i], slot[i]
+        mi, bi = int(mod[c]), int(bound[c])
+        if not lifted[c]:
             continue
-        d = _ratrecon(x, modulus, bound)
-        if d is None or den[k] * d > bound:
-            return None
-        den[k] *= d
-    den = np.array(den, dtype=object)
-    num = residues.astype(object) * den % modulus
-    num = np.where(num > half, num - modulus, num)
-    if num.size and np.abs(num).max() > bound:
-        return None
-    return den, num
+        x = int(num[i]) * int(den[c, k]) % mi
+        if min(x, mi - x) <= bi:
+            continue
+        d = _ratrecon(x, mi, bi)
+        if d is None or den[c, k] * d > bi:
+            lifted[c] = False
+        else:
+            den[c, k] *= d
+    if (den != 1).any():
+        num *= den[owner, slot]
+        num %= m
+    np.subtract(num, m, out=num, where=num > m // 2)
+    lifted &= np.bincount(owner[(num > b) | (num < -b)], minlength=modulus.size) == 0
+    num[~lifted[owner]] = 0
+    return lifted, num
 
 
-def _annihilates(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nrows: int, vectors: np.ndarray) -> bool:
-    """Whether the nrows-row integer matrix with entries vals at (rows, cols) maps every
-    row of ``vectors`` to zero, exactly over Z (int64 only where no sum can overflow)."""
-    if not vectors.size or not vals.size:
-        return True
-    worst = int(np.abs(vals).max()) * int(np.abs(vectors).max()) * int(np.bincount(rows).max())
+def _annihilates(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nrows: int, vectors: tuple) -> np.ndarray:
+    """Mask of the rows of the nrows-row integer matrix with entries vals at (rows, cols) that
+    map some vector to nonzero, exactly over Z (int64 only where no sum can overflow); the
+    vectors are given by their entries (column, vector, value), and each takes one pass over
+    the matrix entries."""
+    at, which, value = vectors
+    out = np.zeros(nrows, dtype=bool)
+    if not value.size or not vals.size:
+        return out
+    worst = int(max(-vals.min(), vals.max())) * int(max(-value.min(), value.max())) * int(np.bincount(rows).max())
     dtype = np.int64 if worst < 2**63 else object
-    prod = vals.astype(dtype)[:, None] * vectors.astype(dtype).T[cols]
-    out = np.zeros((nrows, vectors.shape[0]), dtype=dtype)
-    np.add.at(out, rows, prod)
-    return not out.any()
+    vals, size = vals.astype(dtype, copy=False), int(max(cols.max(), at.max())) + 1
+    for k in range(int(which.max()) + 1):
+        here, vector = which == k, np.zeros(size, dtype=dtype)
+        vector[at[here]] = value[here]
+        image = np.zeros(nrows, dtype=dtype)
+        np.add.at(image, rows, vals * vector[cols])
+        out |= image != 0
+    return out
 
 
 def _hadamard_log2(lay: _Layout, matrix: SparseMatrix) -> np.ndarray:
@@ -824,46 +870,6 @@ def _hadamard_log2(lay: _Layout, matrix: SparseMatrix) -> np.ndarray:
     return np.bincount(row_comp, weights=0.5 * np.log2(count) + widest, minlength=lay.h.size)
 
 
-class _KernelLift:
-    """The kernel vectors of one rank-deficient block, known modulo a growing product of
-    primes: per free column, its entries at the pivot columns (minus the reduced echelon
-    form's column) as residues."""
-
-    def __init__(self, cols: tuple, rows: np.ndarray, width: int, p: int):
-        self.cols, self.width = cols, width
-        free = np.ones(width, dtype=bool)
-        free[list(cols)] = False
-        self.free = np.flatnonzero(free)
-        self.residues = (-rows[:, self.free]) % p
-        self.modulus = p
-        self.skipped = 0  # primes whose pivot columns differ
-        self.last = None  # the previous lift
-
-    def basis(self) -> np.ndarray | None:
-        """Integer kernel candidates, one row per free column, or None while rational
-        reconstruction fails; the free columns carry the common denominators."""
-        lifted = _lift(self.residues, self.modulus)
-        if lifted is None:
-            return None
-        out = np.zeros((self.free.size, self.width), dtype=object)
-        out[:, list(self.cols)] = lifted[1].T
-        out[np.arange(self.free.size), self.free] = lifted[0]
-        return out
-
-    def absorb(self, cols: tuple, rows: np.ndarray, p: int) -> bool:
-        """Combine by CRT with the reduced echelon form mod p; False (and the prime is
-        skipped) when its pivot columns differ."""
-        if cols != self.cols:
-            self.skipped += 1
-            return False
-        new = (-rows[:, self.free]) % p
-        old = self.residues
-        t = (new - np.asarray(old % p, dtype=np.int64)) % p * pow(self.modulus % p, -1, p) % p
-        self.residues = old.astype(object) + t.astype(object) * self.modulus
-        self.modulus *= p
-        return True
-
-
 def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadamard: np.ndarray,
                         bound: int | None, primes: list[int]) -> RankCertificate | None:
     """Rank certified by kernel vectors verified over Z with primes[0] as the reference
@@ -872,53 +878,69 @@ def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, ha
     ``lay`` holds the blocks of the exact nonzero pattern, so an entry that vanishes
     mod p stays in its block as a zero; ``hadamard`` is their _hadamard_log2.  Each
     block short of full row rank mod the reference prime gets one kernel vector per
-    free column of its reduced echelon form; the entries are lifted by rational
-    reconstruction, adding primes by CRT (see _lift_primes), until the vectors
-    annihilate the block's exact triplets.  The lift fails when several primes
-    disagree on the pivot columns, when the lifted vectors stop changing, when the
-    modulus passes twice the square of the block's Hadamard bound, or when a later
-    prime finds a larger rank, which shows the reference prime unlucky.
+    free column of its reduced echelon form (see _echelons); the entries are lifted by
+    rational reconstruction, adding primes by CRT (see _lift_primes), until the vectors
+    annihilate the block's exact triplets.  All deficient blocks are lifted and checked
+    together, side by side, so a round is one _lift and one _annihilates, whatever the
+    number of blocks.  The lift fails when several primes disagree on a block's pivot
+    columns, when its lifted vectors stop changing, when its modulus passes twice the
+    square of its Hadamard bound, or when a later prime finds a larger rank, which shows
+    the reference prime unlucky.
     """
     gen = _lift_primes(primes)
     used = [next(gen)]
-    found = _echelons(lay, matrix.residues(used[0]), used[0])
-    total = sum(len(cols) for cols, _ in found.values())
+    rank, pivot, (col, slot, res) = _echelons(lay, matrix.residues(used[0]), used[0])
+    total = int(rank.sum())
     if bound is not None and total > bound:
         raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
                                 f"{bound}; the bound is invalid")
-    order = np.argsort(lay.comp, kind="stable")
-    starts = np.searchsorted(lay.comp[order], np.arange(lay.h.size + 1))
-    pending = {c: _KernelLift(cols, rows, lay.w[c], used[0]) for c, (cols, rows) in found.items() if rows is not None}
-    fresh, vectors = set(pending), 0
-    while pending:
-        for c in sorted(fresh):
-            lift = pending[c]
-            basis = lift.basis()
-            if basis is not None:
-                idx = order[starts[c]:starts[c + 1]]
-                if _annihilates(lay.li[idx], lay.lj[idx], vals[idx], lay.h[c], basis):
-                    vectors += basis.shape[0]
-                    del pending[c]
-                    continue
-                if lift.last is not None and np.array_equal(lift.last, basis):
-                    return None
-                lift.last = basis
-            if log2(lift.modulus) > 2 * hadamard[c] + 1:
+    ncomp = lay.h.size
+    owner, howner = np.repeat(np.arange(ncomp), lay.w), np.repeat(np.arange(ncomp), lay.h)
+    # each triplet's row and column among the blocks laid side by side
+    brow, bcol = (np.cumsum(lay.h) - lay.h)[lay.comp] + lay.li, (np.cumsum(lay.w) - lay.w)[lay.comp] + lay.lj
+    entry = owner[col]  # the component of each kernel vector entry
+    pending = fresh = rank < lay.h
+    modulus, skipped = np.full(ncomp, used[0], dtype=object), np.zeros(ncomp, dtype=np.int64)
+    last, seen = np.zeros(res.size, dtype=object), np.zeros(ncomp, dtype=bool)  # each block's previous lift
+    vectors = 0
+    while pending.any():
+        live = np.flatnonzero(fresh[entry])  # the entries of the fresh components
+        lifted, num = _lift(res[live], modulus, entry[live], slot[live])
+        check = fresh & lifted
+        mask, sure = check[lay.comp], check[entry[live]]
+        at = live[sure]
+        bad = _annihilates(brow[mask], bcol[mask], vals[mask], howner.size, (col[at], slot[at], num[sure]))
+        retry = check & (np.bincount(howner[bad], minlength=ncomp) > 0)
+        done = check & ~retry
+        vectors += int((lay.w - rank)[done].sum())
+        pending = pending & ~done
+        if retry.any():
+            changed = np.bincount(entry[live][num != last[live]], minlength=ncomp) > 0
+            if (retry & seen & ~changed).any():
                 return None
-        if not pending:
+            again = retry[entry[live]]
+            last[live[again]], seen = num[again], seen | retry
+        over = fresh & ~done
+        if any(log2(m) > 2 * h + 1 for m, h in zip(modulus[over].tolist(), hadamard[over].tolist())):
+            return None
+        if not pending.any():
             break
         p = next(gen)
         used.append(p)
-        select = np.zeros(lay.h.size, dtype=bool)
-        select[list(pending)] = True
-        fresh = set()
-        for c, (cols, rows) in _echelons(lay, matrix.residues(p), p, select).items():
-            if len(cols) > len(pending[c].cols):
-                return None  # the reference prime undercounts this block's rank
-            if pending[c].absorb(cols, rows, p):
-                fresh.add(c)
-            elif pending[c].skipped > 2:
-                return None
+        later, pivots, (column, _, new) = _echelons(lay, matrix.residues(p), p, pending)
+        if (later > rank)[pending].any():
+            return None  # the reference prime undercounts a block's rank
+        fresh = pending & (np.bincount(owner[pivots != pivot], minlength=ncomp) == 0)
+        skipped += pending & ~fresh  # primes whose pivot columns differ
+        if (skipped > 2).any():
+            return None
+        live = np.flatnonzero(fresh[entry])  # the same entries as fresh[owner[column]], in order
+        inv = np.zeros(ncomp, dtype=np.int64)
+        inv[fresh] = [pow(m % p, -1, p) for m in modulus[fresh].tolist()]
+        t = (new[fresh[owner[column]]] - (res[live] % p).astype(np.int64)) % p * inv[entry[live]] % p
+        res = res.astype(object)
+        res[live] += t.astype(object) * modulus[entry[live]]
+        modulus[fresh] *= p
     return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
 
 
@@ -1020,7 +1042,8 @@ def certified_rank(
 def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:
     """Whether matrix @ v = 0 for every integer vector v, checked exactly over Z."""
     basis = np.array([[int(x) for x in v] for v in vectors], dtype=object).reshape(-1, matrix.ncols)
-    return _annihilates(matrix.rows, matrix.cols, matrix.vals, matrix.nrows, basis)
+    which, at = np.nonzero(basis)
+    return not _annihilates(matrix.rows, matrix.cols, matrix.vals, matrix.nrows, (at, which, basis[which, at])).any()
 
 
 def nullspace(

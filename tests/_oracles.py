@@ -52,6 +52,18 @@ def gauss_rank_mod_p(dense, p: int) -> int:
     return r
 
 
+def block_diagonal(blocks, rng):
+    """(nrows, ncols, triplets) of the block-diagonal matrix of some (nrows, ncols,
+    dense) blocks, its rows and columns shuffled by ``rng``."""
+    nrows, ncols = sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+    rows, cols = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    triplets, r0, c0 = [], 0, 0
+    for n, m, dense in blocks:
+        triplets += [(rows[r0 + i], cols[c0 + j], v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+        r0, c0 = r0 + n, c0 + m
+    return nrows, ncols, triplets
+
+
 def mat_vec(dense, vec):
     return [sum(row[j] * vec[j] for j in range(len(vec))) for row in dense]
 

@@ -319,6 +319,27 @@ def test_hyperplane_profile_kernel_certified(monkeypatch, n):
     assert calls == []
 
 
+def test_kernel_check_once_per_lift_round(monkeypatch):
+    import koszul.linalg
+
+    # 912 components, most of them short of full rank: all lifted in one
+    # round with the reference prime and checked by one exact pass per slot
+    calls = {"_lift": 0, "_annihilates": 0}
+    for name in calls:
+        inner = getattr(koszul.linalg, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(koszul.linalg, name, counted)
+    res = w_dim(hyperplane_K(7), 4)
+    assert res.dim == 5 and res.certified
+    cert = res.certificate
+    assert cert.mode == "kernel-verified" and cert.primes == DEFAULT_PRIMES[:1] and cert.verified_vectors == 1895
+    assert calls == {"_lift": 1, "_annihilates": 1}
+
+
 def test_random_K_certified_without_oracle(monkeypatch):
     # large coefficients of random_K need the CRT lift; the oracle stays idle
     calls = count_oracle_calls(monkeypatch)

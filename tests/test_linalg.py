@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from _oracles import gauss_rank_mod_p, gauss_rank_rational, mat_vec, union_find_components
+from _oracles import block_diagonal, gauss_rank_mod_p, gauss_rank_rational, mat_vec, union_find_components
 from koszul.errors import InvalidInputError, ResourceLimitError
 from koszul.linalg import (
     DEFAULT_PRIMES,
@@ -548,11 +548,10 @@ def test_tampered_kernel_vector_is_rejected(monkeypatch):
     # every attempt, so the certificate falls back and says so
     lift = linalg._lift
 
-    def tampered(residues, modulus):
-        out = lift(residues, modulus)
-        if out is not None:
-            out[1][0, 0] += 1
-        return out
+    def tampered(*args):
+        lifted, vectors = lift(*args)
+        vectors[0] += 1  # the entry of the first vector at column 0 of the only block
+        return lifted, vectors
 
     monkeypatch.setattr(linalg, "_lift", tampered)
     rng = random.Random(33)
@@ -561,6 +560,102 @@ def test_tampered_kernel_vector_is_rejected(monkeypatch):
     assert cert.mode == "rational-exact" and cert.lift_failed and cert.rank == 4
     cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
     assert cert.mode == "single-prime" and cert.lift_failed and not cert.certified_exact
+
+
+def shuffled_blocks(blocks, seed):
+    """The block-diagonal matrix of dense integer blocks, its rows and columns
+    shuffled by a seeded permutation."""
+    return SparseMatrix(*block_diagonal([(len(d), len(d[0]), d) for d in blocks], random.Random(seed)))
+
+
+def kernel_count(blocks):
+    """Vectors of a kernel certificate: longer side minus rank, over the blocks short of
+    full rank (each block one component: no zero entry)."""
+    assert all(v for dense in blocks for row in dense for v in row)
+    ranks = [gauss_rank_rational(dense) for dense in blocks]
+    return sum(max(len(d), len(d[0])) - r for d, r in zip(blocks, ranks) if r < min(len(d), len(d[0])))
+
+
+def test_kernel_certificate_many_blocks_one_round():
+    # both orientations, a block of more than _BASE rows, a full-rank square
+    # block and a full-row-rank wide one: every deficient block verifies with
+    # the reference prime alone
+    rng = random.Random(34)
+    blocks = [low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 7, 5, 3, 1, 9), low_rank(rng, 12, 15, 3, 1, 4),
+              low_rank(rng, 3, 3, 1, 1, 9), [[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 7]]]
+    m = shuffled_blocks(blocks, 1)
+    cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.mode == "kernel-verified" and cert.primes == DEFAULT_PRIMES[:1] and not cert.lift_failed
+    assert cert.rank == gauss_rank_rational(m.to_dense_rows()) == 2 + 3 + 3 + 1 + 2 + 2
+    assert cert.verified_vectors == kernel_count(blocks) == 4 + 4 + 12 + 2
+
+
+def test_kernel_check_reads_each_block_at_its_offset(monkeypatch):
+    import koszul.linalg as linalg
+
+    # the vectors handed to the exact check moved by one column: no block
+    # passes it, so the certificate falls back and says so
+    rng = random.Random(34)
+    m = shuffled_blocks([low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 7, 5, 3, 1, 9)], 2)
+    check = linalg._annihilates
+    monkeypatch.setattr(linalg, "_annihilates", lambda rows, cols, vals, nrows, vectors:
+                        check(rows, cols, vals, nrows, (vectors[0] + 1, *vectors[1:])))
+    cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.mode == "single-prime" and cert.lift_failed and not cert.certified_exact
+    monkeypatch.undo()
+    assert certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0).mode == "kernel-verified"
+
+
+def test_kernel_certificate_lifts_only_the_block_that_needs_it(monkeypatch):
+    import koszul.linalg as linalg
+
+    # entries near 10^20 in one block: it alone goes on to the CRT rounds
+    rng = random.Random(35)
+    blocks = [low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 6, 8, 3, 10**20, 2 * 10**20), low_rank(rng, 5, 5, 2, 1, 9)]
+    owners = []
+    lift = linalg._lift
+
+    def counted(residues, modulus, owner, slot):
+        owners.append(np.unique(owner).size)
+        return lift(residues, modulus, owner, slot)
+
+    monkeypatch.setattr(linalg, "_lift", counted)
+    cert = certified_rank(shuffled_blocks(blocks, 3), None, DEFAULT_PRIMES, oracle_cap=0)
+    assert cert.mode == "kernel-verified" and cert.rank == 7 and cert.verified_vectors == kernel_count(blocks)
+    assert len(cert.primes) > len(DEFAULT_PRIMES) and len(owners) == len(cert.primes)
+    assert owners[0] == 3 and set(owners[1:]) == {1}
+
+
+def test_kernel_lift_stops_at_the_hadamard_bound():
+    import koszul.linalg as linalg
+
+    # the block of 10^20 entries needs CRT; told that its minors are below 2,
+    # the lift gives up once the modulus passes 2^(2*1+1)
+    rng = random.Random(35)
+    m = shuffled_blocks([low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 6, 8, 3, 10**20, 2 * 10**20)], 5)
+    lay = linalg._layout(m.rows, m.cols, _components(m.rows, m.cols, m.nrows))
+    hadamard = linalg._hadamard_log2(lay, m)
+    assert linalg._kernel_certificate(m, lay, m.vals, hadamard, None, list(DEFAULT_PRIMES)).rank == 5
+    hadamard[hadamard > 100] = 1.0
+    assert linalg._kernel_certificate(m, lay, m.vals, hadamard, None, list(DEFAULT_PRIMES)) is None
+
+
+def test_kernel_certificate_block_divisible_by_reference():
+    # a block of rank 2 over Q and 1 mod 7, beside a block with one row
+    # divisible by 7: no prime list and no oracle cap gives a wrong exact rank
+    rng = random.Random(36)
+    divisible = low_rank(rng, 5, 7, 3, 1, 9)
+    divisible[0] = [7 * v for v in divisible[0]]
+    blocks = [low_rank(rng, 4, 6, 2, 1, 9), divisible, [[7, 14], [1, 3]]]
+    m, true = shuffled_blocks(blocks, 4), 2 + 3 + 2
+    assert gauss_rank_rational(m.to_dense_rows()) == true and gauss_rank_mod_p(m.to_dense_rows(), 7) == true - 1
+    for primes in ([7], [7, 11], [11, 7], [7, DEFAULT_PRIMES[0]], list(DEFAULT_PRIMES)):
+        for cap in (0, 2000):
+            cert = certified_rank(m, None, primes, oracle_cap=cap)
+            assert cert.rank <= true and (cert.rank == true or not cert.certified_exact), (primes, cap)
+    cert = certified_rank(m, None, [7, 11], oracle_cap=0)
+    assert cert.mode == "kernel-verified" and cert.rank == true and cert.primes[0] == 11
+    assert cert.lift_failed is False and cert.verified_vectors == kernel_count(blocks)
 
 
 def test_seven_divisible_never_certifies_falsely():
