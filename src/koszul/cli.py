@@ -96,6 +96,8 @@ class RunConfig:
         cache_dir = getattr(args, "cache", None) or os.environ.get(ENV_CACHE) or None
         if getattr(args, "threads", 1) < 1:
             raise InvalidInputError("threads must be >= 1")
+        if getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP) < 0:
+            raise InvalidInputError("oracle cap must be >= 0")
         return RunConfig(
             primes=primes,
             q_max=getattr(args, "q_max", None),
@@ -127,7 +129,7 @@ def _add_common(parser):
         "--field",
         choices=("auto", "rational", "prime"),
         default="auto",
-        help="force the computation field (default: modular with rational fallback)",
+        help="force the computation field (default: modular, certified by kernel vectors)",
     )
 
 

@@ -262,9 +262,10 @@ def _field(subspace: SubspaceK, fieldspec: FieldSpec | None) -> FieldSpec | None
 
 
 def _certified(matrix, bound, fieldspec, primes, oracle_cap) -> RankCertificate:
-    """Rank of a matrix built from K over the field :func:`_field` chose."""
+    """Rank of a matrix built from K over the field :func:`_field` chose; ``oracle_cap``
+    caps only a forced rational rank."""
     if fieldspec is None:
-        return certified_rank(matrix, bound, primes, oracle_cap=oracle_cap)
+        return certified_rank(matrix, bound, primes)
     return rank(matrix, fieldspec, structural_bound=bound, oracle_cap=oracle_cap)
 
 
@@ -279,14 +280,15 @@ def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes,
 
 def _answers(cert: RankCertificate, bound: int, fieldspec: FieldSpec | None, primes) -> bool:
     """Whether a cached certificate can answer this request: a rank in [0, bound] for this
-    bound, from the forced prime alone, the oracle if Q is forced, else a requested prime first."""
+    bound, from the forced prime alone, the oracle if Q is forced, else certified exact
+    from the first requested prime, as :func:`koszul.linalg.certified_rank` returns it."""
     if not (0 <= cert.rank <= bound and cert.structural_bound == bound):
         return False
     if isinstance(fieldspec, Rational):
         return cert.mode == "rational-exact"
     if isinstance(fieldspec, PrimeField):
         return cert.mode == "single-prime" and cert.primes == (fieldspec.p,)
-    return cert.primes[0] in primes if cert.primes else cert.mode == "rational-exact"
+    return cert.certified_exact and cert.primes[:1] == tuple(primes[:1])
 
 
 def w_dim(
@@ -303,10 +305,10 @@ def w_dim(
     With ``fieldspec=None`` (and K defined over Q) the rank comes from
     :func:`koszul.linalg.certified_rank`: the rank mod the first prime,
     certified when it reaches min(#columns, dim Im delta_2), else by kernel
-    vectors verified over Z; only if their lift fails do the further primes
-    and the rational oracle (under ``oracle_cap``) run.  If nothing
-    certifies, the best value is returned with its honest, uncertified
-    certificate.  An explicit ``fieldspec`` computes one rank over that field.
+    vectors verified over Z, with the further primes as the first lift
+    primes; the rational oracle does not run, and ``oracle_cap`` only keys
+    the cache.  An explicit ``fieldspec`` computes one rank over that field
+    (over Q, by the oracle under ``oracle_cap``).
 
     The one user of ``cache``: a hit under :func:`_cache_key` that passes
     :func:`_answers` builds no matrix; a miss is computed and stored.

@@ -21,12 +21,13 @@ construction.  When the modular rank r falls short of the bound,
 :func:`certified_rank`, the one escalation policy, proves the matching
 upper bound instead: it lifts one kernel vector per free column of the
 reduced echelon form mod p to Z (rational reconstruction, CRT over more
-primes while the Hadamard bound allows) and checks each exactly against
-the integer triplets.  The vectors are independent (the identity on the
-free columns), so r <= rank over Q <= r.  All rank-deficient components
-are lifted and checked together: their blocks' columns side by side, the
-k-th vector of every block in slot k, so a lift round is one rational
-reconstruction pass and one exact check, whatever the number of blocks.
+primes) and checks each exactly against the integer triplets.  The vectors
+are independent (the identity on the free columns), so r <= rank over Q <= r.
+A later prime that shows a component more rank, or an earlier pivot set, is
+its new reference, so every lift ends in a certificate (_kernel_certificate).
+All rank-deficient components are lifted and checked together: their
+blocks' columns side by side, the k-th vector of every block in slot k, so a
+lift round is one rational reconstruction pass and one exact check.
 
 The modular engine eliminates each connected component of the bipartite
 nonzero pattern on a dense float64 block of balanced residues: blocks of
@@ -83,7 +84,7 @@ import hashlib
 import json
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, log2
 from typing import Iterable, Sequence, Union
@@ -181,8 +182,7 @@ class RankCertificate:
 
     A "kernel-verified" rank is a modular rank whose upper bound is proved
     by ``verified_vectors`` kernel vectors checked exactly over Z; its
-    primes are the reference prime followed by those the lift used.
-    ``lift_failed`` marks a certificate reached after such a lift failed.
+    primes are those the certificate consulted, the first given prime first.
     """
 
     rank: int
@@ -192,7 +192,6 @@ class RankCertificate:
     certified_exact: bool = False
     structural_bound: int | None = None
     verified_vectors: int = 0
-    lift_failed: bool = False
 
     MODES = ("rational-exact", "single-prime", "kernel-verified")
 
@@ -221,21 +220,23 @@ class RankCertificate:
         }
         if self.mode == "kernel-verified":
             out["verified_vectors"] = self.verified_vectors
-        if self.lift_failed:
-            out["lift_failed"] = True
         return out
 
     @staticmethod
     def from_json(data: dict) -> "RankCertificate":
+        """Integers read by :func:`json_int`, flags only as JSON booleans; other keys ignored."""
+        flags = [data["certified_lower_bound"], data["certified_exact"]]
+        if not all(isinstance(flag, bool) for flag in flags):
+            raise InvalidInputError(f"certificate flags must be booleans, got {flags!r}")
+        bound = data.get("structural_bound")
         return RankCertificate(
-            rank=int(data["rank"]),
+            rank=json_int(data["rank"], "rank"),
             mode=data["mode"],
-            primes=tuple(int(p) for p in data.get("primes", [])),
-            certified_lower_bound=bool(data["certified_lower_bound"]),
-            certified_exact=bool(data["certified_exact"]),
-            structural_bound=data.get("structural_bound"),
-            verified_vectors=int(data.get("verified_vectors", 0)),
-            lift_failed=bool(data.get("lift_failed", False)),
+            primes=tuple(json_int(p, "prime") for p in data.get("primes", [])),
+            certified_lower_bound=flags[0],
+            certified_exact=flags[1],
+            structural_bound=None if bound is None else json_int(bound, "structural bound"),
+            verified_vectors=json_int(data.get("verified_vectors", 0), "verified vectors"),
         )
 
 
@@ -753,15 +754,14 @@ def _lift_primes(given: Sequence[int]):
 def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | None = None):
     """The reduced echelon forms mod p of the selected blocks (all by default), their columns
     laid side by side at the offsets cumsum(lay.w) - lay.w; ``residues`` holds each triplet's
-    value in [0, p).  Returns each component's pivot count (0 unless selected), each column's
-    place in its block's sequence of pivot columns (-1 for a free column, so that two forms
-    agree on a block's pivot columns, in order, where they agree on its columns), and the
-    kernel vectors mod p of every block short of full row rank as entries (column, slot,
-    residue) sorted by column, then slot: slot k holds the vector of the block's k-th free
-    column, 1 there and minus that column of the reduced echelon form at the pivot columns."""
+    value in [0, p).  Returns each component's pivot count (0 unless selected), the mask of
+    the pivot columns, and the kernel vectors mod p of every block short of full row rank as
+    entries (column, slot, residue) sorted by column, then slot: slot k holds the vector of
+    the block's k-th free column, 1 there and minus that column of the reduced echelon form
+    at the pivot columns (so they depend on the pivot set, not on the order found)."""
     offset = np.cumsum(lay.w) - lay.w
     rank = np.zeros(lay.h.size, dtype=np.int64)
-    pivot = np.full(int(lay.w.sum()), -1, dtype=np.int64)
+    pivot = np.zeros(int(lay.w.sum()), dtype=bool)
     found = [np.zeros((3, 0), dtype=np.int64)]
     for batch, stack in _stacks(lay, _balanced(residues, p), select):
         if stack.shape[1] > _BASE:
@@ -772,7 +772,7 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | N
         b, i = np.nonzero(piv >= 0)  # the pivot rows
         rank[batch] = np.bincount(b, minlength=batch.size)
         start = offset[batch]
-        pivot[start[b] + piv[b, i]] = (np.cumsum(piv >= 0, axis=1) - 1)[b, i]
+        pivot[start[b] + piv[b, i]] = True
         free = np.ones((batch.size, stack.shape[2]), dtype=bool)
         free[b, piv[b, i]] = False
         free &= (rank[batch] < lay.h[batch])[:, None]
@@ -872,76 +872,92 @@ def _hadamard_log2(lay: _Layout, matrix: SparseMatrix) -> np.ndarray:
 
 def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadamard: np.ndarray,
                         bound: int | None, primes: list[int]) -> RankCertificate | None:
-    """Rank certified by kernel vectors verified over Z with primes[0] as the reference
-    prime, or None when the lift fails.
+    """Rank certified by kernel vectors verified over Z, primes drawn from
+    _lift_primes(primes); None only if the guard below fires.
 
     ``lay`` holds the blocks of the exact nonzero pattern, so an entry that vanishes
     mod p stays in its block as a zero; ``hadamard`` is their _hadamard_log2.  Each
-    block short of full row rank mod the reference prime gets one kernel vector per
-    free column of its reduced echelon form (see _echelons); the entries are lifted by
-    rational reconstruction, adding primes by CRT (see _lift_primes), until the vectors
-    annihilate the block's exact triplets.  All deficient blocks are lifted and checked
-    together, side by side, so a round is one _lift and one _annihilates, whatever the
-    number of blocks.  The lift fails when several primes disagree on a block's pivot
-    columns, when its lifted vectors stop changing, when its modulus passes twice the
-    square of its Hadamard bound, or when a later prime finds a larger rank, which shows
-    the reference prime unlucky.
+    block short of full row rank mod its reference prime (at first primes[0]) gets one
+    kernel vector per free column of its reduced echelon form (see _echelons), lifted
+    by rational reconstruction and checked against the block's exact triplets; all
+    such blocks together, so a round is one _lift and one _annihilates.  A block whose
+    vectors fail meets the next prime p under one rule: a larger rank, or the same rank
+    with a lexicographically earlier pivot set, makes p its reference (modulus p); the
+    same rank and set joins p's residues by CRT; anything else skips p for the block.
+
+    The guard -- a modulus past 2 H^2, H the block's Hadamard bound, while its vectors
+    still fail -- cannot fire.  Mod p each leading range of columns has at most its
+    rational rank, so a prime shows at most the rational rank r and, at rank r, an
+    i-th pivot column no earlier than the rational one: the rational (rank, pivot set)
+    is the best.  A prime showing less divides a nonzero minor (every r x r one, or
+    every k x k one of the columns up to the k-th rational pivot, the first it misses),
+    so the primes of one such outcome multiply to at most H: an unlucky reference and
+    its CRT partners have a modulus of at most H, and after finitely many primes a
+    lucky one becomes the reference for good.  Its reduced echelon form, and each partner's, is
+    the rational one mod p, whose kernel vectors are minors over a common minor, at
+    most H; reconstruction finds them once the modulus passes 2 H^2.
+
+    A rank sum above ``bound`` proves the bound invalid and raises.  The certificate's
+    primes are those consulted, in order.
     """
     gen = _lift_primes(primes)
     used = [next(gen)]
     rank, pivot, (col, slot, res) = _echelons(lay, matrix.residues(used[0]), used[0])
-    total = int(rank.sum())
-    if bound is not None and total > bound:
-        raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
-                                f"{bound}; the bound is invalid")
     ncomp = lay.h.size
     owner, howner = np.repeat(np.arange(ncomp), lay.w), np.repeat(np.arange(ncomp), lay.h)
     # each triplet's row and column among the blocks laid side by side
     brow, bcol = (np.cumsum(lay.h) - lay.h)[lay.comp] + lay.li, (np.cumsum(lay.w) - lay.w)[lay.comp] + lay.lj
-    entry = owner[col]  # the component of each kernel vector entry
+    modulus = np.full(ncomp, used[0], dtype=object)
     pending = fresh = rank < lay.h
-    modulus, skipped = np.full(ncomp, used[0], dtype=object), np.zeros(ncomp, dtype=np.int64)
-    last, seen = np.zeros(res.size, dtype=object), np.zeros(ncomp, dtype=bool)  # each block's previous lift
     vectors = 0
-    while pending.any():
-        live = np.flatnonzero(fresh[entry])  # the entries of the fresh components
-        lifted, num = _lift(res[live], modulus, entry[live], slot[live])
-        check = fresh & lifted
-        mask, sure = check[lay.comp], check[entry[live]]
-        at = live[sure]
-        bad = _annihilates(brow[mask], bcol[mask], vals[mask], howner.size, (col[at], slot[at], num[sure]))
-        retry = check & (np.bincount(howner[bad], minlength=ncomp) > 0)
-        done = check & ~retry
-        vectors += int((lay.w - rank)[done].sum())
-        pending = pending & ~done
-        if retry.any():
-            changed = np.bincount(entry[live][num != last[live]], minlength=ncomp) > 0
-            if (retry & seen & ~changed).any():
+    while True:
+        total = int(rank.sum())
+        if bound is not None and total > bound:
+            raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
+                                    f"{bound}; the bound is invalid")
+        entry = owner[col]  # the component of each kernel vector entry
+        if fresh.any():
+            live = np.flatnonzero(fresh[entry])  # the entries of the fresh components
+            lifted, num = _lift(res[live], modulus, entry[live], slot[live])
+            check = fresh & lifted
+            mask, sure = check[lay.comp], check[entry[live]]
+            at = live[sure]
+            bad = _annihilates(brow[mask], bcol[mask], vals[mask], howner.size, (col[at], slot[at], num[sure]))
+            done = check & (np.bincount(howner[bad], minlength=ncomp) == 0)
+            vectors += int((lay.w - rank)[done].sum())
+            pending = pending & ~done
+            over = fresh & ~done
+            if any(log2(m) > 2 * h + 1 for m, h in zip(modulus[over].tolist(), hadamard[over].tolist())):
                 return None
-            again = retry[entry[live]]
-            last[live[again]], seen = num[again], seen | retry
-        over = fresh & ~done
-        if any(log2(m) > 2 * h + 1 for m, h in zip(modulus[over].tolist(), hadamard[over].tolist())):
-            return None
         if not pending.any():
-            break
+            return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
         p = next(gen)
         used.append(p)
-        later, pivots, (column, _, new) = _echelons(lay, matrix.residues(p), p, pending)
-        if (later > rank)[pending].any():
-            return None  # the reference prime undercounts a block's rank
-        fresh = pending & (np.bincount(owner[pivots != pivot], minlength=ncomp) == 0)
-        skipped += pending & ~fresh  # primes whose pivot columns differ
-        if (skipped > 2).any():
-            return None
-        live = np.flatnonzero(fresh[entry])  # the same entries as fresh[owner[column]], in order
-        inv = np.zeros(ncomp, dtype=np.int64)
-        inv[fresh] = [pow(m % p, -1, p) for m in modulus[fresh].tolist()]
-        t = (new[fresh[owner[column]]] - (res[live] % p).astype(np.int64)) % p * inv[entry[live]] % p
-        res = res.astype(object)
-        res[live] += t.astype(object) * modulus[entry[live]]
-        modulus[fresh] *= p
-    return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
+        later, pivots, (column, place, new) = _echelons(lay, matrix.residues(p), p, pending)
+        # a block's first column in one pivot set but not the other decides which set is earlier
+        differ = np.flatnonzero((pivots != pivot) & pending[owner])
+        blocks, first = np.unique(owner[differ], return_index=True)
+        earlier, moved = np.zeros(ncomp, dtype=bool), np.zeros(ncomp, dtype=bool)
+        earlier[blocks], moved[blocks] = pivots[differ[first]], True
+        better = pending & ((later > rank) | ((later == rank) & earlier))
+        same = pending & (later == rank) & ~moved
+        if same.any():
+            live = np.flatnonzero(same[entry])  # the same entries as same[owner[column]], in order
+            inv = np.zeros(ncomp, dtype=np.int64)
+            inv[same] = [pow(m % p, -1, p) for m in modulus[same].tolist()]
+            t = (new[same[owner[column]]] - (res[live] % p).astype(np.int64)) % p * inv[entry[live]] % p
+            res = res.astype(object)
+            res[live] += t.astype(object) * modulus[entry[live]]
+            modulus[same] *= p
+        if better.any():
+            rank[better], modulus[better], pivot[better[owner]] = later[better], p, pivots[better[owner]]
+            keep, take = ~better[entry], better[owner[column]]
+            col, slot = np.concatenate((col[keep], column[take])), np.concatenate((slot[keep], place[take]))
+            res = np.concatenate((res[keep], new[take].astype(res.dtype)))
+            order = np.lexsort((slot, col))
+            col, slot, res = col[order], slot[order], res[order]
+            pending = pending & (rank < lay.h)
+        fresh = (same | better) & pending
 
 
 # ---------------------------------------------------------------------------
@@ -992,51 +1008,27 @@ def _certify(value: int, fieldspec: FieldSpec, matrix: SparseMatrix, structural_
     return RankCertificate(value, "single-prime", (fieldspec.p,), True, value >= bound, structural_bound)
 
 
-def certified_rank(
-    matrix: SparseMatrix,
-    bound: int | None,
-    primes: Sequence[int],
-    *,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> RankCertificate:
-    """Rank of an integer matrix, certified exact whenever a proof is in reach.
+def certified_rank(matrix: SparseMatrix, bound: int | None, primes: Sequence[int]) -> RankCertificate:
+    """Rank of an integer matrix, certified exact.
 
-    ``bound`` is an upper bound on the rational rank, as for :func:`rank`.
-    For each distinct given prime p, in order:
-
-    1. the rank mod p, returned when it reaches the bound;
-    2. short of it, the kernel certificate with p as the reference prime:
-       verified kernel vectors prove the modular rank exact ("kernel-verified").
-
-    Only after every given prime's lift failed:
-
-    3. the rational oracle while ncols <= ``oracle_cap`` (0: never);
-    4. else the best modular rank, uncertified.
-
-    A certificate of steps 1, 3 or 4 reached after a failed lift says so
-    (``lift_failed``).
+    ``bound`` is an upper bound on the rational rank, as for :func:`rank`.  The rank
+    mod primes[0] is returned when it reaches the bound (or min(nrows, ncols)).  Short
+    of it, the kernel certificate, with the further given primes as its first lift
+    primes, proves the rational rank ("kernel-verified"), which a later prime may show
+    larger than the rank mod primes[0].  Only if its guard fires, which the argument in
+    :func:`_kernel_certificate` rules out, is the rank mod primes[0] returned
+    uncertified.  Every given prime must be valid (see :class:`PrimeField`).
     """
     if not primes:
         raise InvalidInputError("certified_rank needs at least one prime")
-    given = list(dict.fromkeys(primes))
-    best = lay = None
-    for p in given:
-        cert = rank(matrix, PrimeField(p), structural_bound=bound)
-        if cert.certified_exact:
-            return cert if best is None else replace(cert, lift_failed=True)
-        if best is None or cert.rank >= best.rank:
-            best = cert
-        if matrix.nnz == 0:
-            return RankCertificate(0, "kernel-verified", (p,), True, True, bound, 0)
-        if lay is None:
-            lay = _layout(matrix.rows, matrix.cols, _components(matrix.rows, matrix.cols, matrix.nrows))
-            vals, hadamard = matrix.vals, _hadamard_log2(lay, matrix)
-        kernel = _kernel_certificate(matrix, lay, vals, hadamard, bound, [p] + given)
-        if kernel is not None:
-            return kernel
-    if matrix.ncols <= oracle_cap:
-        best = rank(matrix, Rational(), structural_bound=bound, oracle_cap=oracle_cap)
-    return replace(best, lift_failed=True)
+    fields = [PrimeField(p) for p in primes]  # every given prime is validated
+    cert = rank(matrix, fields[0], structural_bound=bound)
+    if cert.certified_exact:
+        return cert
+    if matrix.nnz == 0:
+        return RankCertificate(0, "kernel-verified", cert.primes, True, True, bound, 0)
+    lay = _layout(matrix.rows, matrix.cols, _components(matrix.rows, matrix.cols, matrix.nrows))
+    return _kernel_certificate(matrix, lay, matrix.vals, _hadamard_log2(lay, matrix), bound, list(primes)) or cert
 
 
 def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:

@@ -170,9 +170,10 @@ def resonance_vanishes(
 
     Computes dim W_{n-3} with :func:`koszul.hilbert.w_dim`: a certified
     zero proves vanishing, a certified nonzero refutes it.  A nonzero
-    dimension is certified by kernel vectors verified over Z (the rational
-    oracle under the size cap runs only if their lift fails); if nothing
-    certifies, the verdict is flagged heuristic.  For n >= 4 and a small
+    dimension is certified by kernel vectors verified over Z
+    (:func:`koszul.linalg.certified_rank`; no rational oracle runs, and
+    ``oracle_cap`` only keys the cache); should that certificate be
+    missing, the verdict is flagged heuristic.  For n >= 4 and a small
     annihilator the exact pencil oracle is consulted to attach a witness to
     negative verdicts; the witness, a decomposable form in K-perp checked
     exactly, proves nonvanishing on its own.

@@ -241,14 +241,15 @@ def test_criterion_7_oracle_agreement():
         for p in DEFAULT_PRIMES:
             assert rank(matrix, PrimeField(p)).rank == expected, (i, p)
         checked += 1
-    # disagreement is possible in principle and must be flagged, never silent
+    # disagreement is possible in principle: one prime's rank is flagged as a lower
+    # bound, and the escalation certifies the rational rank through a later prime
     divisible = SparseMatrix(1, 1, [(0, 0, 7)])
     cert = rank(divisible, PrimeField(7))
     assert cert.rank == 0 and cert.certified_lower_bound and not cert.certified_exact
     assert rational_rank(divisible) == 1
-    cert = certified_rank(divisible, None, [7], oracle_cap=0)
-    assert cert.rank == 0 and not cert.certified_exact
-    assert certified_rank(divisible, None, [7, DEFAULT_PRIMES[0]], oracle_cap=0).certified_exact
+    for primes in ([7], [7, DEFAULT_PRIMES[0]]):
+        cert = certified_rank(divisible, None, primes)
+        assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
     ok(7, f"modular rank = rational rank on {checked} matrices x 3 primes; deficits flagged")
 
 

@@ -179,6 +179,31 @@ def test_threads_flag_contract(capsys, monkeypatch):
     assert len(alive) == 8 and all(threads == before for threads in alive)
 
 
+@pytest.mark.parametrize("extra", [[], ["--field", "rational"]])
+def test_negative_oracle_cap_exits_2(capsys, extra):
+    code, out, err = run(capsys, ["hilbert", "--weyman", "5", "--oracle-cap", "-3", *extra])
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
+
+
+def test_unlucky_only_prime_certifies_without_oracle(tmp_path, capsys):
+    # an n = 5 K whose basis has the coefficients 7 and 14: mod 7 the ranks of
+    # degrees 1 and 2 fall short, and later primes certify the rational ones
+    basis = [[{"pair": [0, 3], "num": 1}, {"pair": [1, 2], "num": 14}],
+             [{"pair": [2, 3], "num": 1}, {"pair": [1, 3], "num": 14}],
+             [{"pair": [0, 4], "num": 1}], [{"pair": [2, 4], "num": 1}],
+             [{"pair": [3, 4], "num": 1}, {"pair": [0, 1], "num": 7}]]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"n": 5, "field": "rational", "basis": basis}))
+    code, out, err = run(capsys, ["hilbert", "--k-file", str(path), "--primes", "7", "--oracle-cap", "0",
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    records = json.loads(out)["records"]
+    assert [r["dim"] for r in records] == [5, 15, 30] and all(r["certified"] for r in records)
+    assert [r["certificate"]["primes"][0] for r in records] == [7, 7, 7]
+
+
 def test_env_primes_override(capsys, monkeypatch):
     monkeypatch.setenv("KOSZUL_PRIMES", "101")
     code, out, _ = run(capsys, ["hilbert", "--weyman", "4", "--format", "json"])

@@ -452,6 +452,34 @@ def test_cache_misses_are_recomputed(tmp_path, monkeypatch):
     misses(1, Rational(), [signed(mode="single-prime", primes=[p])])
 
 
+def test_auto_cache_takes_only_strict_exact_records(tmp_path, monkeypatch):
+    import koszul.hilbert
+    from koszul.hilbert import _cache_key
+
+    # the hyperplane K at q = 3: rank 500 under the bound 504, kernel-verified;
+    # each signed record alone in a cache file, and whether it must miss
+    K = hyperplane_K(6)
+    truth = w_dim(K, 3)
+    key = _cache_key(K, 3, None, DEFAULT_PRIMES, DEFAULT_ORACLE_CAP)
+    cert = truth.certificate.to_json()
+    low = {**{k: v for k, v in cert.items() if k != "verified_vectors"}, "mode": "single-prime", "rank": 499}
+    records = [
+        ({**low, "certified_exact": False}, True),  # uncertified, as an oracle cap of 0 once left it
+        ({**low, "certified_exact": "false"}, True),  # a string flag, once read as true
+        ({**low, "rank": 500, "mode": "rational-exact", "primes": []}, True),  # the oracle's, not this request's
+        ({**cert, "lift_failed": True}, False),  # a legacy key beside an exact certificate is ignored
+    ]
+    inner, builds = koszul.hilbert.restricted_delta2, []
+    monkeypatch.setattr(koszul.hilbert, "restricted_delta2", lambda *args: builds.append(args) or inner(*args))
+    for i, (record, miss) in enumerate(records):
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        write_record(directory, key, record)
+        before = len(builds)
+        assert w_dim(K, 3, cache=RankCache(str(directory))) == truth, i
+        assert len(builds) == before + miss, i
+
+
 def full_rank(matrix, p):
     """The engine's rank with the matrix's mirror candidate and spare rows taken away:
     every full block eliminated."""

@@ -308,11 +308,12 @@ def test_seven_divisible_demonstrates_lower_bound_only():
     assert cert.rank == 0
     assert cert.certified_lower_bound and not cert.certified_exact
     assert rank(m, Rational()).rank == 1
-    # with no oracle: one prime dividing the entry certifies nothing, a second one does
-    cert = certified_rank(m, None, [7], oracle_cap=0)
-    assert cert.rank == 0 and not cert.certified_exact
-    cert = certified_rank(m, None, [7, 11], oracle_cap=0)
-    assert cert.rank == 1 and cert.certified_exact and cert.primes == (11,)
+    # the escalation certifies the rational rank: the next prime, given or not,
+    # shows rank 1 and becomes the reference
+    cert = certified_rank(m, None, [7])
+    assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
+    cert = certified_rank(m, None, [7, 11])
+    assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, 11)
 
 
 def test_multi_prime_single_matches_rank():
@@ -321,7 +322,7 @@ def test_multi_prime_single_matches_rank():
     for seed in range(6):
         m = random_sparse(8, 9, 0.4, seed + 200)
         single = rank(m, PrimeField(p))
-        cert = certified_rank(m, None, [p], oracle_cap=0)
+        cert = certified_rank(m, None, [p])
         assert cert.rank == single.rank and cert.primes[0] == p
         assert single.mode == "single-prime" and cert.mode in ("single-prime", "kernel-verified")
 
@@ -330,7 +331,7 @@ def test_multi_prime_matches_rational_on_randoms():
     for seed in range(30):
         m = random_sparse(12, 10, 0.45, seed + 300)
         rq = rank(m, Rational()).rank
-        cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
+        cert = certified_rank(m, None, DEFAULT_PRIMES)
         assert cert.rank == rq and cert.certified_exact
 
 
@@ -455,13 +456,17 @@ def test_certificate_invariants():
         RankCertificate(3, "bogus", (7,), True, False)
     cert = RankCertificate(3, "single-prime", (7, 11), True, False)
     assert RankCertificate.from_json(cert.to_json()) == cert
-    assert "verified_vectors" not in cert.to_json() and "lift_failed" not in cert.to_json()
+    assert "verified_vectors" not in cert.to_json()
     kernel = RankCertificate(3, "kernel-verified", (7, 11), True, True, 5, verified_vectors=2)
     assert kernel.to_json()["verified_vectors"] == 2
     assert RankCertificate.from_json(kernel.to_json()) == kernel
-    failed = RankCertificate(3, "single-prime", (7,), lift_failed=True)
-    assert failed.to_json()["lift_failed"] is True
-    assert RankCertificate.from_json(failed.to_json()) == failed
+    # a legacy lift_failed key is ignored; integers and flags are read strictly
+    assert RankCertificate.from_json({**cert.to_json(), "lift_failed": True}) == cert
+    for key, bad in (("rank", 3.0), ("rank", "3"), ("primes", [7.0]), ("primes", [True]),
+                     ("structural_bound", 5.5), ("verified_vectors", "2"),
+                     ("certified_exact", "false"), ("certified_exact", 1), ("certified_lower_bound", None)):
+        with pytest.raises(InvalidInputError):
+            RankCertificate.from_json({**kernel.to_json(), key: bad})
     with pytest.raises(InvalidInputError):
         RankCertificate(3, "kernel-verified", (7,), True, False, verified_vectors=2)
     with pytest.raises(InvalidInputError):
@@ -492,7 +497,7 @@ def test_transpose_rank_medium():
 
 def test_multi_prime_50x50():
     m = random_sparse(50, 50, 0.5, 4096)
-    cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
+    cert = certified_rank(m, None, DEFAULT_PRIMES)
     assert cert.rank == rank(m, Rational()).rank and cert.certified_exact
 
 
@@ -513,8 +518,8 @@ def test_kernel_certificate_matches_oracle():
     cases = [low_rank(rng, 9, 14, 5, -9, 9), low_rank(rng, 14, 9, 6, -9, 9),
              low_rank(rng, 12, 12, 7, -10**6, 10**6), divisible]
     for dense in cases:
-        cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
-        assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
+        cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
+        assert cert.mode == "kernel-verified" and cert.certified_exact
         assert cert.rank == gauss_rank_rational(dense) and cert.verified_vectors > 0
         assert cert.primes[0] == p
     # two panels with pivot rows in both: the first panel's rows need the
@@ -523,14 +528,14 @@ def test_kernel_certificate_matches_oracle():
     x = [[rng.randint(-3, 3) if i >= 128 or k < 80 else 0 for k in range(100)] for i in range(150)]
     y = [[rng.randint(-3, 3) for _ in range(160)] for _ in range(100)]
     dense = [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
-    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
+    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.rank == 100 and cert.verified_vectors == 60
 
 
 def test_kernel_certificate_uses_more_primes_for_large_entries():
     rng = random.Random(32)
     dense = low_rank(rng, 10, 12, 7, -10**20, 10**20)
-    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
+    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.rank == 7
     assert len(cert.primes) > len(DEFAULT_PRIMES)
     assert cert.primes[:3] == DEFAULT_PRIMES and len(set(cert.primes)) == len(cert.primes)
@@ -545,7 +550,8 @@ def test_tampered_kernel_vector_is_rejected(monkeypatch):
     assert not annihilates(from_dense([[10**30, 1]]), [[1, -(10**30) + 1]])
 
     # one entry of one lifted vector changed: the exact check refuses it on
-    # every attempt, so the certificate falls back and says so
+    # every attempt until the Hadamard guard ends the lift, and the rank mod the
+    # first prime comes back uncertified
     lift = linalg._lift
 
     def tampered(*args):
@@ -557,9 +563,8 @@ def test_tampered_kernel_vector_is_rejected(monkeypatch):
     rng = random.Random(33)
     dense = low_rank(rng, 8, 11, 4, -5, 5)
     cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
-    assert cert.mode == "rational-exact" and cert.lift_failed and cert.rank == 4
-    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES, oracle_cap=0)
-    assert cert.mode == "single-prime" and cert.lift_failed and not cert.certified_exact
+    assert cert.mode == "single-prime" and cert.primes == DEFAULT_PRIMES[:1]
+    assert cert.rank == 4 and not cert.certified_exact
 
 
 def shuffled_blocks(blocks, seed):
@@ -584,8 +589,8 @@ def test_kernel_certificate_many_blocks_one_round():
     blocks = [low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 7, 5, 3, 1, 9), low_rank(rng, 12, 15, 3, 1, 4),
               low_rank(rng, 3, 3, 1, 1, 9), [[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 7]]]
     m = shuffled_blocks(blocks, 1)
-    cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
-    assert cert.mode == "kernel-verified" and cert.primes == DEFAULT_PRIMES[:1] and not cert.lift_failed
+    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    assert cert.mode == "kernel-verified" and cert.primes == DEFAULT_PRIMES[:1]
     assert cert.rank == gauss_rank_rational(m.to_dense_rows()) == 2 + 3 + 3 + 1 + 2 + 2
     assert cert.verified_vectors == kernel_count(blocks) == 4 + 4 + 12 + 2
 
@@ -594,16 +599,16 @@ def test_kernel_check_reads_each_block_at_its_offset(monkeypatch):
     import koszul.linalg as linalg
 
     # the vectors handed to the exact check moved by one column: no block
-    # passes it, so the certificate falls back and says so
+    # passes it, and the rank mod the first prime comes back uncertified
     rng = random.Random(34)
     m = shuffled_blocks([low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 7, 5, 3, 1, 9)], 2)
     check = linalg._annihilates
     monkeypatch.setattr(linalg, "_annihilates", lambda rows, cols, vals, nrows, vectors:
                         check(rows, cols, vals, nrows, (vectors[0] + 1, *vectors[1:])))
-    cert = certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0)
-    assert cert.mode == "single-prime" and cert.lift_failed and not cert.certified_exact
+    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    assert cert.mode == "single-prime" and cert.rank == 5 and not cert.certified_exact
     monkeypatch.undo()
-    assert certified_rank(m, None, DEFAULT_PRIMES, oracle_cap=0).mode == "kernel-verified"
+    assert certified_rank(m, None, DEFAULT_PRIMES).mode == "kernel-verified"
 
 
 def test_kernel_certificate_lifts_only_the_block_that_needs_it(monkeypatch):
@@ -620,29 +625,36 @@ def test_kernel_certificate_lifts_only_the_block_that_needs_it(monkeypatch):
         return lift(residues, modulus, owner, slot)
 
     monkeypatch.setattr(linalg, "_lift", counted)
-    cert = certified_rank(shuffled_blocks(blocks, 3), None, DEFAULT_PRIMES, oracle_cap=0)
+    cert = certified_rank(shuffled_blocks(blocks, 3), None, DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.rank == 7 and cert.verified_vectors == kernel_count(blocks)
     assert len(cert.primes) > len(DEFAULT_PRIMES) and len(owners) == len(cert.primes)
     assert owners[0] == 3 and set(owners[1:]) == {1}
 
 
-def test_kernel_lift_stops_at_the_hadamard_bound():
+def test_kernel_lift_stops_at_the_hadamard_bound(monkeypatch):
     import koszul.linalg as linalg
 
     # the block of 10^20 entries needs CRT; told that its minors are below 2,
-    # the lift gives up once the modulus passes 2^(2*1+1)
+    # the lift gives up once the modulus passes 2^(2*1+1), and the rank mod the
+    # first prime comes back uncertified
     rng = random.Random(35)
     m = shuffled_blocks([low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 6, 8, 3, 10**20, 2 * 10**20)], 5)
-    lay = linalg._layout(m.rows, m.cols, _components(m.rows, m.cols, m.nrows))
-    hadamard = linalg._hadamard_log2(lay, m)
-    assert linalg._kernel_certificate(m, lay, m.vals, hadamard, None, list(DEFAULT_PRIMES)).rank == 5
-    hadamard[hadamard > 100] = 1.0
-    assert linalg._kernel_certificate(m, lay, m.vals, hadamard, None, list(DEFAULT_PRIMES)) is None
+    assert certified_rank(m, None, DEFAULT_PRIMES).mode == "kernel-verified"
+    hadamard = linalg._hadamard_log2
+
+    def understated(lay, matrix):
+        bounds = hadamard(lay, matrix)
+        bounds[bounds > 100] = 1.0
+        return bounds
+
+    monkeypatch.setattr(linalg, "_hadamard_log2", understated)
+    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    assert cert.mode == "single-prime" and cert.rank == 5 and not cert.certified_exact
 
 
 def test_kernel_certificate_block_divisible_by_reference():
     # a block of rank 2 over Q and 1 mod 7, beside a block with one row
-    # divisible by 7: no prime list and no oracle cap gives a wrong exact rank
+    # divisible by 7: every prime list certifies the rational rank
     rng = random.Random(36)
     divisible = low_rank(rng, 5, 7, 3, 1, 9)
     divisible[0] = [7 * v for v in divisible[0]]
@@ -650,52 +662,50 @@ def test_kernel_certificate_block_divisible_by_reference():
     m, true = shuffled_blocks(blocks, 4), 2 + 3 + 2
     assert gauss_rank_rational(m.to_dense_rows()) == true and gauss_rank_mod_p(m.to_dense_rows(), 7) == true - 1
     for primes in ([7], [7, 11], [11, 7], [7, DEFAULT_PRIMES[0]], list(DEFAULT_PRIMES)):
-        for cap in (0, 2000):
-            cert = certified_rank(m, None, primes, oracle_cap=cap)
-            assert cert.rank <= true and (cert.rank == true or not cert.certified_exact), (primes, cap)
-    cert = certified_rank(m, None, [7, 11], oracle_cap=0)
-    assert cert.mode == "kernel-verified" and cert.rank == true and cert.primes[0] == 11
-    assert cert.lift_failed is False and cert.verified_vectors == kernel_count(blocks)
+        cert = certified_rank(m, None, primes)
+        assert cert.rank == true and cert.certified_exact and cert.primes[0] == primes[0], primes
+    cert = certified_rank(m, None, [7, 11])
+    assert cert.mode == "kernel-verified" and cert.rank == true and cert.primes[:2] == (7, 11)
+    assert cert.verified_vectors == kernel_count(blocks)
 
 
 def test_seven_divisible_never_certifies_falsely():
+    # rank 0 mod 7 is never certified; the next prime shows the rational rank
     m = SparseMatrix(1, 1, [(0, 0, 7)])
-    cert = certified_rank(m, None, [7], oracle_cap=0)
-    assert cert.rank == 0 and not cert.certified_exact and cert.lift_failed
-    cert = certified_rank(m, None, [7])
-    assert cert.rank == 1 and cert.mode == "rational-exact" and cert.lift_failed
-    cert = certified_rank(m, None, [7, DEFAULT_PRIMES[0]], oracle_cap=0)
-    assert cert.rank == 1 and cert.certified_exact and cert.primes == (DEFAULT_PRIMES[0],)
+    for primes in ([7], [7, DEFAULT_PRIMES[0]]):
+        cert = certified_rank(m, None, primes)
+        assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
     # a zero block mod 7 beside a regular one
     m = SparseMatrix(2, 3, [(0, 0, 7), (0, 1, 14), (1, 2, 1)])
-    cert = certified_rank(m, None, [7, 11], oracle_cap=0)
-    assert not (cert.certified_exact and cert.rank != 2)
+    for primes in ([7], [7, 11]):
+        cert = certified_rank(m, None, primes)
+        assert cert.rank == 2 and cert.certified_exact
 
 
 def test_unlucky_first_prime_is_retried():
     # rank 2 over Q (row 3 = row 1 + row 2) but 1 mod 7: the lift with 7 as the
-    # reference meets 11's larger rank, restarts with 11 and certifies rank 2
+    # reference meets 11's larger rank, takes 11 as the reference and certifies rank 2
     dense = [[1, 1, 1], [1, 8, 1], [2, 9, 2]]
     assert gauss_rank_rational(dense) == 2 and gauss_rank_mod_p(dense, 7) == 1
-    cert = certified_rank(from_dense(dense), 3, (7, 11), oracle_cap=0)
-    assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
-    assert cert.rank == 2 and cert.primes[0] == 11 and cert.verified_vectors == 1
-    # a larger rank found by a prime that was not given still gives up
-    cert = certified_rank(from_dense(dense), 3, (7,), oracle_cap=0)
-    assert cert.rank == 1 and not cert.certified_exact and cert.lift_failed
+    cert = certified_rank(from_dense(dense), 3, (7, 11))
+    assert cert.mode == "kernel-verified" and cert.certified_exact
+    assert cert.rank == 2 and cert.primes == (7, 11) and cert.verified_vectors == 1
+    # so does a larger rank found by a prime that was not given
+    cert = certified_rank(from_dense(dense), 3, (7,))
+    assert cert.rank == 2 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
 
 
 def test_every_given_prime_is_a_reference(monkeypatch):
     import koszul.linalg as linalg
 
-    # rank 2 over Q, 1 mod 7 and mod 11: their lifts stall on the entry 77
-    # (the lifted vector stops changing) before 13 is reached; 13 as the
-    # reference sees the full rank and its kernel vector verifies
+    # rank 2 over Q, 1 mod 7 and mod 11 with the same pivot column: 11 joins 7
+    # by CRT, and 13, which sees the full rank, becomes the reference of the one
+    # kernel certificate; its kernel vector verifies
     m = SparseMatrix(3, 3, [(0, 0, 77), (1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)])
-    cert = certified_rank(m, None, (7, 11, 13), oracle_cap=0)
-    assert cert.mode == "kernel-verified" and cert.certified_exact and not cert.lift_failed
-    assert cert.rank == 2 and cert.primes[0] == 13 and cert.verified_vectors == 1
-    # each distinct given prime is the reference once, in order
+    cert = certified_rank(m, None, (7, 11, 13))
+    assert cert.mode == "kernel-verified" and cert.certified_exact
+    assert cert.rank == 2 and cert.primes == (7, 11, 13) and cert.verified_vectors == 1
+    # one kernel certificate, each distinct given prime consulted once, in order
     references = []
     kernel = linalg._kernel_certificate
 
@@ -704,9 +714,9 @@ def test_every_given_prime_is_a_reference(monkeypatch):
         return kernel(matrix, lay, vals, hadamard, bound, primes)
 
     monkeypatch.setattr(linalg, "_kernel_certificate", counted)
-    cert = certified_rank(m, None, (7, 11, 7, 11), oracle_cap=0)
-    assert cert.rank == 1 and not cert.certified_exact and cert.lift_failed
-    assert references == [7, 11]
+    cert = certified_rank(m, None, (7, 11, 7, 11))
+    assert cert.rank == 2 and cert.certified_exact and cert.primes == (7, 11, DEFAULT_PRIMES[0])
+    assert references == [7]
 
 
 def assert_labels_match_union_find(rows, cols, nrows):
