@@ -52,14 +52,12 @@ from .linalg import (
     annihilates,
     certified_rank,
     is_prime,
-    nullspace,
     rank,
 )
 from .resonance import (
     DecomposableWitness,
     PencilAnalysis,
     ResonanceVerdict,
-    kperp_basis,
     pencil_decomposable,
     resonance_vanishes,
     split_decomposable,
@@ -75,6 +73,7 @@ from .subspaces import (
     heisenberg_K,
     heisenberg_cup_data,
     heisenberg_symplectic_form,
+    kperp_basis,
     random_K,
     subspace_from_rows,
     weyman_K,

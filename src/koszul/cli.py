@@ -220,7 +220,6 @@ def cmd_resonance(args) -> int:
     verdict = resonance_vanishes(
         subspace,
         primes=config.primes,
-        oracle_cap=config.oracle_cap,
         cache=config.cache(),
     )
     if config.fmt == "json":
@@ -403,8 +402,7 @@ def _selfcheck_cases():
 
     def kernel_certificates():
         from .bases import pair_rank
-        from .hilbert import restricted_delta2
-        from .linalg import annihilates, nullspace
+        from .linalg import annihilates
 
         # hyperplane K with K-perp = <e0^e1>: resonance does not vanish and
         # dim W_q = q + 1; every rank-deficient degree is kernel-certified
@@ -414,9 +412,10 @@ def _selfcheck_cases():
         assert prof.dims() == [q + 1 for q in range(n - 2)], prof.dims()
         assert all(r.certified for r in prof.records)
         assert [r.certificate.mode for r in prof.records[1:]] == ["kernel-verified"] * (n - 3)
-        # the exact check behind the certificate refuses a tampered vector
-        matrix = restricted_delta2(K, 1)
-        kernel = nullspace(matrix, Rational())
+        # the exact check behind the certificate: delta_2 annihilates the
+        # columns of delta_3 (d2 d3 = 0), and refuses a tampered one
+        matrix = koszul_differential(2, n, 1)
+        kernel = koszul_differential(3, n, 0).transpose().to_dense_rows()
         assert kernel and annihilates(matrix, kernel)
         kernel[0][0] += 1  # column 0 is nonzero
         assert not annihilates(matrix, kernel)

@@ -45,7 +45,7 @@ from .linalg import (
     certified_rank,
     rank,
 )
-from .subspaces import SubspaceK
+from .subspaces import SubspaceK, kperp_basis
 
 
 def koszul_differential(p: int, n: int, q: int) -> SparseMatrix:
@@ -269,13 +269,15 @@ def _certified(matrix, bound, fieldspec, primes, oracle_cap) -> RankCertificate:
     return rank(matrix, fieldspec, structural_bound=bound, oracle_cap=oracle_cap)
 
 
-def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes, oracle_cap: int) -> str:
+def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes) -> str:
     """What a degree's certificate depends on: the content hash of K's m x C(n,2)
-    integer basis over K's field, q, the field ("auto": none), primes and oracle cap."""
+    integer basis over K's field, q, and the field: "auto" with the primes, or the
+    forced field's token alone (its rank reads no further prime, and the oracle cap
+    only bounds work, which a hit does not do)."""
     basis = SparseMatrix(subspace.effective_m, comb(subspace.n, 2),
                          [(s, t, c) for s, kvec in enumerate(subspace.int_basis) for t, c in enumerate(kvec) if c])
-    field = "auto" if fieldspec is None else fieldspec.token()
-    return f"{basis.canonical_key(subspace.field)};q={q};{field};{','.join(map(str, primes))};{oracle_cap}"
+    field = f"auto;{','.join(map(str, primes))}" if fieldspec is None else fieldspec.token()
+    return f"{basis.canonical_key(subspace.field)};q={q};{field}"
 
 
 def _answers(cert: RankCertificate, bound: int, fieldspec: FieldSpec | None, primes) -> bool:
@@ -306,19 +308,20 @@ def w_dim(
     :func:`koszul.linalg.certified_rank`: the rank mod the first prime,
     certified when it reaches min(#columns, dim Im delta_2), else by kernel
     vectors verified over Z, with the further primes as the first lift
-    primes; the rational oracle does not run, and ``oracle_cap`` only keys
-    the cache.  An explicit ``fieldspec`` computes one rank over that field
-    (over Q, by the oracle under ``oracle_cap``).
+    primes; the rational oracle does not run.  An explicit ``fieldspec``
+    computes one rank over that field (over Q, by the oracle under
+    ``oracle_cap``, the only rank the cap bounds).
 
     The one user of ``cache``: a hit under :func:`_cache_key` that passes
-    :func:`_answers` builds no matrix; a miss is computed and stored.
+    :func:`_answers` builds no matrix and runs no oracle, so it answers
+    under any ``oracle_cap``; a miss is computed and stored.
     """
     n = subspace.n
     fieldspec = _field(subspace, fieldspec)
     primes = tuple(primes or DEFAULT_PRIMES)
     image_dim = im_delta2_dim(n, q)
     bound = min(subspace.effective_m * sym_dim(n, q), image_dim)
-    key = None if cache is None else _cache_key(subspace, q, fieldspec, primes, oracle_cap)
+    key = None if cache is None else _cache_key(subspace, q, fieldspec, primes)
     cert = None if cache is None else cache.get(key)
     if cert is None or not _answers(cert, bound, fieldspec, primes):
         cert = _certified(restricted_delta2(subspace, q), bound, fieldspec, primes, oracle_cap)
@@ -351,33 +354,15 @@ def w_dim_alt(
     if q == 0:
         return target_dim  # Sym^{-1} source is the zero space
     d3 = koszul_differential(3, n, q - 1)
+    # the rows of K-perp, whose common kernel is K, map Wedge^2 V onto the quotient
     projection = SparseMatrix(target_dim, d3.nrows, [
-        (u * symq + a, t * symq + a, c) for u, t, c in _quotient_projection(subspace) for a in range(symq)
+        (u * symq + a, t * symq + a, c)
+        for u, phi in enumerate(kperp_basis(subspace)) for t, c in enumerate(phi) if c for a in range(symq)
     ])
     composite = projection.multiply(d3)
     bound = min(composite.ncols, target_dim)
     cert = _certified(composite, bound, _field(subspace, fieldspec), primes or DEFAULT_PRIMES, oracle_cap)
     return target_dim - cert.rank
-
-
-def _quotient_projection(subspace: SubspaceK) -> list[tuple[int, int, int]]:
-    """Wedge^2 V -> Wedge^2 V / K in quotient coordinates, as (quotient row, pair
-    index, integer coefficient) triplets; rows are scaled row-wise to integers."""
-    from .linalg import integer_scaled
-
-    width = comb(subspace.n, 2)
-    pivots = subspace.pivot_columns()
-    free = [c for c in range(width) if c not in pivots]
-    modulus = subspace.field.p if isinstance(subspace.field, PrimeField) else None
-    triplets = []
-    for u, fc in enumerate(free):
-        rowvals = [row[fc] for row in subspace.basis]
-        if modulus is None:
-            lead, *coeffs = integer_scaled([1] + [-v for v in rowvals])
-        else:
-            lead, coeffs = 1, [-v % modulus for v in rowvals]
-        triplets += [(u, fc, lead)] + [(u, pivots[s], c) for s, c in enumerate(coeffs) if c]
-    return triplets
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Exact sparse linear algebra with certification semantics.
 
-Rank and nullspace are computed either over the rationals (fraction-free
-elimination on a dense copy, the ground-truth oracle) or over a prime
-field F_p with p an odd prime below 2^31.
+Ranks are computed either over the rationals (fraction-free elimination
+on a dense copy, the ground-truth oracle) or over a prime field F_p with
+p an odd prime below 2^31.
 
 Matrices are integral.  A :class:`SparseMatrix` stores each distinct value
 once, in a palette of exact Python ints, and one int64 palette index per
 entry: reduction mod p, the content hash and the Hadamard bound work on the
 palette and gather by index, so no consumer depends on how large the values
 are.  Exact values are gathered only for the kernel check and the dense
-exact routines (the oracle, nullspace, multiply).
+exact routines (the oracle, multiply).
 
 Certification: for an integer matrix, the rank mod p never exceeds the
 rational rank (a nonzero minor mod p is nonzero over Z), so modular ranks
@@ -1036,41 +1036,6 @@ def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:
     basis = np.array([[int(x) for x in v] for v in vectors], dtype=object).reshape(-1, matrix.ncols)
     which, at = np.nonzero(basis)
     return not _annihilates(matrix.rows, matrix.cols, matrix.vals, matrix.nrows, (at, which, basis[which, at])).any()
-
-
-def nullspace(
-    matrix: SparseMatrix,
-    fieldspec: FieldSpec,
-    *,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> list[list[int]]:
-    """Basis of the right nullspace (dense elimination; modest sizes).
-
-    Over Q the vectors are integer-scaled with content 1; over F_p entries
-    lie in [0, p).
-    """
-    if matrix.ncols > oracle_cap:
-        raise ResourceLimitError(
-            f"nullspace elimination capped at {oracle_cap} columns, matrix has {matrix.ncols}"
-        )
-    dense = matrix.to_dense_rows()
-    echelon, pivots = rref(dense, fieldspec)
-    free = [c for c in range(matrix.ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        if isinstance(fieldspec, PrimeField):
-            vec = [0] * matrix.ncols
-            vec[c] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = (-echelon[r][c]) % fieldspec.p
-            basis.append(vec)
-        else:
-            vec = [Fraction(0)] * matrix.ncols
-            vec[c] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -echelon[r][c]
-            basis.append(integer_scaled(vec))
-    return basis
 
 
 class RankCache:

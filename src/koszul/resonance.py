@@ -19,32 +19,8 @@ from math import comb, isqrt
 from .bases import pair_rank, pair_unrank
 from .errors import InvalidInputError
 from .hilbert import w_dim
-from .linalg import (
-    DEFAULT_ORACLE_CAP,
-    PrimeField,
-    RankCache,
-    RankCertificate,
-    SparseMatrix,
-    nullspace,
-)
-from .subspaces import SubspaceK
-
-
-def kperp_basis(subspace: SubspaceK) -> list[list[int]]:
-    """Basis of the annihilator of K under the dual-basis pairing on Wedge^2.
-
-    Integer vectors over Q (content 1), reduced vectors over a prime
-    field; always of size C(n,2) - m.
-    """
-    width = subspace.pair_count
-    triplets = [
-        (s, idx, v)
-        for s, row in enumerate(subspace.int_basis)
-        for idx, v in enumerate(row)
-        if v
-    ]
-    matrix = SparseMatrix(subspace.effective_m, width, triplets)
-    return nullspace(matrix, subspace.field)
+from .linalg import PrimeField, RankCache, RankCertificate
+from .subspaces import SubspaceK, kperp_basis
 
 
 def wedge_square(omega, n: int) -> list:
@@ -163,17 +139,16 @@ def resonance_vanishes(
     subspace: SubspaceK,
     *,
     primes=None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
     cache: RankCache | None = None,
 ) -> ResonanceVerdict:
     """Decide whether the resonance of (V, K) reduces to {0}.
 
-    Computes dim W_{n-3} with :func:`koszul.hilbert.w_dim`: a certified
-    zero proves vanishing, a certified nonzero refutes it.  A nonzero
-    dimension is certified by kernel vectors verified over Z
-    (:func:`koszul.linalg.certified_rank`; no rational oracle runs, and
-    ``oracle_cap`` only keys the cache); should that certificate be
-    missing, the verdict is flagged heuristic.  For n >= 4 and a small
+    Computes dim W_{n-3} with :func:`koszul.hilbert.w_dim` in its automatic
+    mode: a certified zero proves vanishing, a certified nonzero refutes it.
+    A nonzero dimension is certified by kernel vectors verified over Z
+    (:func:`koszul.linalg.certified_rank`); the rational oracle never runs,
+    so no oracle cap applies.  Should that certificate be missing, the
+    verdict is flagged heuristic.  For n >= 4 and a small
     annihilator the exact pencil oracle is consulted to attach a witness to
     negative verdicts; the witness, a decomposable form in K-perp checked
     exactly, proves nonvanishing on its own.
@@ -181,7 +156,7 @@ def resonance_vanishes(
     n = subspace.n
     if n < 3:
         raise InvalidInputError(f"resonance decision needs n >= 3, got n={n}")
-    res = w_dim(subspace, n - 3, None, primes=primes, oracle_cap=oracle_cap, cache=cache)
+    res = w_dim(subspace, n - 3, None, primes=primes, cache=cache)
     vanishes = res.dim == 0
     witness = None
     if not vanishes and not isinstance(subspace.field, PrimeField):

@@ -138,6 +138,26 @@ def subspace_from_rows(n: int, rows, fieldspec: FieldSpec = Rational()) -> Subsp
     return SubspaceK(n, fieldspec, basis, int_basis)
 
 
+def kperp_basis(subspace: SubspaceK) -> list[list[int]]:
+    """Basis of the annihilator K-perp of K under the dual-basis pairing on Wedge^2,
+    read off K's reduced echelon basis: free column c gives the vector with 1 at c
+    and -basis[r][c] at the r-th pivot column.
+
+    Integer vectors with content 1 over Q (:func:`integer_scaled`), entries in
+    [0, p) over F_p; always C(n,2) - m of them, in the order of their free columns.
+    """
+    pivots = subspace.pivot_columns()
+    modulus = subspace.field.p if isinstance(subspace.field, PrimeField) else None
+    out = []
+    for c in sorted(set(range(subspace.pair_count)) - set(pivots)):
+        vec = [0] * subspace.pair_count
+        vec[c] = 1
+        for row, pc in zip(subspace.basis, pivots):
+            vec[pc] = -row[c] % modulus if modulus else -row[c]
+        out.append(vec if modulus else integer_scaled(vec))
+    return out
+
+
 def canonicalize(subspace: SubspaceK) -> SubspaceK:
     """Idempotent re-canonicalization."""
     return subspace_from_rows(subspace.n, [list(r) for r in subspace.basis], subspace.field)

@@ -6,6 +6,7 @@ paths it is used to check.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def gauss_rank_rational(dense) -> int:
@@ -50,6 +51,44 @@ def gauss_rank_mod_p(dense, p: int) -> int:
         if r == nrows:
             break
     return r
+
+
+def nullspace(matrix, fieldspec):
+    """Basis of the right nullspace of a SparseMatrix by plain Gauss-Jordan
+    elimination, one vector per free column (1 there, minus that column of the
+    reduced form at the pivot columns).  Over F_p the entries lie in [0, p);
+    over Q each vector is scaled to integers with content 1 and its first
+    nonzero entry positive."""
+    p = getattr(fieldspec, "p", None)
+    ncols = matrix.ncols
+    a = [[int(v) % p if p else Fraction(v) for v in row] for row in matrix.to_dense_rows()]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
+        a[r] = [v * inv % p if p else v * inv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for c in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[c] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -a[r][c] % p if p else -a[r][c]
+        if not p:
+            den = lcm(*(Fraction(v).denominator for v in vec))
+            ints = [int(Fraction(v) * den) for v in vec]
+            g = gcd(*ints) * (-1 if next(v for v in ints if v) < 0 else 1)
+            vec = [v // g for v in ints]
+        basis.append(vec)
+    return basis
 
 
 def block_diagonal(blocks, rng):

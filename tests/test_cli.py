@@ -314,6 +314,34 @@ def test_cache_flag(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_cache_key_holds_no_cap_and_no_unread_prime(capsys, tmp_path):
+    def records(directory):
+        return sum(1 for line in (directory / "rank-cache.jsonl").read_text().splitlines() if line)
+
+    def same_stdout(directory, argv, variants):
+        outs = set()
+        for extra in variants:
+            code, out, err = run(capsys, argv + ["--cache", str(directory), *extra])
+            assert code == 0 and err == "", extra
+            outs.add(out)
+        assert len(outs) == 1
+
+    weyman = ["hilbert", "--weyman", "5", "--format", "json"]  # three degrees
+    # the automatic mode runs no oracle: three caps, one record per degree
+    same_stdout(tmp_path / "auto", weyman, [["--oracle-cap", cap] for cap in ("2000", "0", "5")])
+    assert records(tmp_path / "auto") == 3
+    # a forced field reads no prime beyond its own
+    same_stdout(tmp_path / "prime", weyman + ["--field", "prime"], [["--primes", "65537,7"], ["--primes", "65537,11"]])
+    assert records(tmp_path / "prime") == 3
+    # the cap bounds Bareiss work, and a hit does none: a rational record written
+    # under the default cap answers a cap of 3, which fails without a cache
+    rational = weyman + ["--field", "rational"]
+    same_stdout(tmp_path / "rational", rational, [["--primes", "7"], ["--primes", "11", "--oracle-cap", "3"]])
+    assert records(tmp_path / "rational") == 3
+    code, out, err = run(capsys, rational + ["--oracle-cap", "3"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ResourceLimitError"
+
+
 def test_truncated_cache_line_is_a_miss(capsys, tmp_path):
     argv = ["hilbert", "--weyman", "5", "--format", "json", "--cache", str(tmp_path)]
     code, clean, _ = run(capsys, argv)

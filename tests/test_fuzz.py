@@ -13,13 +13,19 @@ the cases a false one, below the true rank), and may attach a lying
   the bound (a modular rank that reaches a false bound is trusted by
   design);
 - nothing raises anything else.
+
+The CLI half corrupts a ``--k-file`` and the lines of a rank cache: every
+run exits 0, 1 or 2, a failure prints one JSON object on stderr and no
+traceback, and a corrupted cache never changes stdout.
 """
 
+import json
 import random
 
 import numpy as np
 
 from _oracles import block_diagonal, gauss_rank_rational
+from koszul.cli import main
 from koszul.errors import InvalidInputError
 from koszul.linalg import DEFAULT_PRIMES, SparseMatrix, certified_rank
 
@@ -127,3 +133,96 @@ def test_fuzz_found_cases():
         cert = certified_rank(from_dense(dense), None, [prime])
         assert cert.mode == "kernel-verified" and cert.rank == true, dense
         assert cert.primes[:2] == (prime, DEFAULT_PRIMES[0])
+
+
+# the hyperplane K with K-perp = <e0^e1> at n = 5, in a basis with denominators:
+# dim W_q = q + 1, kernel-verified from q = 1 on
+K_FILE = {"n": 5, "field": "rational", "basis": [
+    [{"pair": [0, 2], "num": 1}, {"pair": [1, 2], "num": -1, "den": 2}],
+    [{"pair": [0, 3], "num": 3}], [{"pair": [0, 4], "num": 1}], [{"pair": [1, 2], "num": 2, "den": 3}],
+    [{"pair": [1, 3], "num": 1}], [{"pair": [1, 4], "num": -1}],
+    [{"pair": [2, 3], "num": 1}, {"pair": [3, 4], "num": 7, "den": 3}],
+    [{"pair": [2, 4], "num": 1}], [{"pair": [3, 4], "num": 1}],
+]}
+BAD_VALUES = (1.5, 2.0, True, False, "1", "x", None)
+
+
+def flip_bits(rng, data: bytes) -> bytes:
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    return bytes(out)
+
+
+def bad_k_file(rng) -> bytes:
+    """K_FILE truncated, with flipped bits, or with a non-integer value in n, a pair,
+    num, den, the field or the basis."""
+    kind = rng.randrange(3)
+    text = json.dumps(K_FILE).encode()
+    if kind == 0:
+        return text[:rng.randrange(len(text))]
+    if kind == 1:
+        return flip_bits(rng, text)
+    data = json.loads(text)
+    entry = rng.choice(rng.choice(data["basis"]))
+    bad, where = rng.choice(BAD_VALUES), rng.choice(("n", "pair", "index", "num", "den", "field", "prime", "basis"))
+    if where in ("n", "field", "basis"):
+        data[where] = bad
+    elif where == "prime":
+        data["field"] = {"prime": bad}
+    elif where == "index":
+        entry["pair"][rng.randrange(2)] = bad
+    else:
+        entry[where] = bad
+    return json.dumps(data).encode()
+
+
+def bad_cache(rng, data: bytes) -> bytes:
+    """The cache file truncated, with flipped bits, or one record's rank moved or
+    its line dropped or doubled."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:rng.randrange(len(data))]
+    if kind == 1:
+        return flip_bits(rng, data)
+    lines = data.split(b"\n")
+    i = rng.choice([k for k, line in enumerate(lines) if line])
+    if kind == 2:  # the digest still signs the old rank
+        record = json.loads(lines[i])
+        record["cert"]["rank"] += rng.choice((-1, 1))
+        lines[i] = json.dumps(record, sort_keys=True).encode()
+    else:
+        lines[i:i + 1] = rng.choice(([], [lines[i]] * 2))
+    return b"\n".join(lines)
+
+
+def test_cli_corruption_fuzz(tmp_path, capsys):
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and isinstance(json.loads(err), dict), argv
+        else:
+            assert err == "", argv
+        return code, out
+
+    rng = random.Random(20261020)
+    k_file = tmp_path / "k.json"
+    for _ in range(60):
+        k_file.write_bytes(bad_k_file(rng))
+        run(["hilbert", "--k-file", str(k_file), "--q-max", "2", "--format", "json"])
+    # a cache of kernel-verified records (auto keys) and single-prime ones (a forced field's key)
+    cache = tmp_path / "cache"
+    k_file.write_text(json.dumps(K_FILE))
+    commands = [["hilbert", "--k-file", str(k_file), "--format", "json", "--cache", str(cache), *extra]
+                for extra in ([], ["--field", "prime", "--primes", "65537,7"])]
+    cold = [run(argv) for argv in commands]
+    assert [code for code, _ in cold] == [0, 0]
+    path = cache / "rank-cache.jsonl"
+    clean = path.read_bytes()
+    assert clean.count(b'"kernel-verified"') == 2 and clean.count(b';prime:65537"') == 3
+    for _ in range(60):
+        path.write_bytes(bad_cache(rng, clean))
+        which = rng.randrange(2)
+        assert run(commands[which]) == cold[which]

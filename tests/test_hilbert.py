@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import gauss_rank_rational
 from koszul.bases import monomial_rank, pair_rank, sym_dim
-from koszul.errors import InvalidInputError
+from koszul.errors import InvalidInputError, ResourceLimitError
 from koszul.hilbert import (
     DegreeRecord,
     KoszulProfile,
@@ -21,7 +21,7 @@ from koszul.hilbert import (
     w_dim,
     w_dim_alt,
 )
-from koszul.linalg import DEFAULT_ORACLE_CAP, DEFAULT_PRIMES, PrimeField, RankCache, Rational
+from koszul.linalg import DEFAULT_PRIMES, PrimeField, RankCache, Rational
 from koszul.subspaces import (
     full_K,
     heisenberg_K,
@@ -352,24 +352,31 @@ def test_random_K_certified_without_oracle(monkeypatch):
     assert calls == []
 
 
-def test_cache_key_separates_requests():
+def test_cache_key_separates_requests(tmp_path):
     from koszul.hilbert import _cache_key
 
     K, p = hyperplane_K(6), DEFAULT_PRIMES[0]
     rows = [list(kvec) for kvec in K.int_basis]
-    base = _cache_key(K, 3, None, DEFAULT_PRIMES, 2000)
-    assert base == _cache_key(subspace_from_rows(6, rows[::-1]), 3, None, DEFAULT_PRIMES, 2000)
+    base = _cache_key(K, 3, None, DEFAULT_PRIMES)
+    assert base == _cache_key(subspace_from_rows(6, rows[::-1]), 3, None, DEFAULT_PRIMES)
     others = [
-        _cache_key(random_K(6, 14, 1), 3, None, DEFAULT_PRIMES, 2000),  # another K of the same size
-        _cache_key(subspace_from_rows(6, rows, PrimeField(101)), 3, None, DEFAULT_PRIMES, 2000),  # K over F_101
-        _cache_key(K, 2, None, DEFAULT_PRIMES, 2000),
-        _cache_key(K, 3, Rational(), DEFAULT_PRIMES, 2000),
-        _cache_key(K, 3, PrimeField(p), DEFAULT_PRIMES, 2000),
-        _cache_key(K, 3, None, DEFAULT_PRIMES[:1], 2000),
-        _cache_key(K, 3, None, DEFAULT_PRIMES[::-1], 2000),
-        _cache_key(K, 3, None, DEFAULT_PRIMES, 0),
+        _cache_key(random_K(6, 14, 1), 3, None, DEFAULT_PRIMES),  # another K of the same size
+        _cache_key(subspace_from_rows(6, rows, PrimeField(101)), 3, None, DEFAULT_PRIMES),  # K over F_101
+        _cache_key(K, 2, None, DEFAULT_PRIMES),
+        _cache_key(K, 3, Rational(), DEFAULT_PRIMES),
+        _cache_key(K, 3, PrimeField(p), DEFAULT_PRIMES),
+        _cache_key(K, 3, None, DEFAULT_PRIMES[:1]),
+        _cache_key(K, 3, None, DEFAULT_PRIMES[::-1]),
     ]
     assert len({base, *others}) == len(others) + 1
+    # a forced field's rank reads no prime beyond its own: lists sharing the first prime share a key
+    for field in (Rational(), PrimeField(p)):
+        assert _cache_key(K, 3, field, DEFAULT_PRIMES) == _cache_key(K, 3, field, (p, 7)) == _cache_key(K, 3, field, (p,))
+    # the oracle cap is no part of the key: it bounds Bareiss work, and a hit does none
+    cold = w_dim(K, 1, Rational(), cache=RankCache(str(tmp_path)))
+    with pytest.raises(ResourceLimitError):
+        w_dim(K, 1, Rational(), oracle_cap=0)
+    assert w_dim(K, 1, Rational(), oracle_cap=0, cache=RankCache(str(tmp_path))) == cold
 
 
 def test_warm_profile_builds_no_matrix(tmp_path, monkeypatch):
@@ -405,7 +412,7 @@ def test_cache_misses_are_recomputed(tmp_path, monkeypatch):
     def misses(q, fieldspec, lines):
         """Each line alone in a cache file: w_dim recomputes, and a fresh cache then holds the truth."""
         truth = w_dim(K, q, fieldspec)
-        key = _cache_key(K, q, fieldspec, DEFAULT_PRIMES, DEFAULT_ORACLE_CAP)
+        key = _cache_key(K, q, fieldspec, DEFAULT_PRIMES)
         write_record(tmp_path, key, truth.certificate.to_json())  # the honest line is a hit
         before = len(builds)
         assert w_dim(K, q, fieldspec, cache=RankCache(str(tmp_path))) == truth and len(builds) == before
@@ -460,7 +467,7 @@ def test_auto_cache_takes_only_strict_exact_records(tmp_path, monkeypatch):
     # each signed record alone in a cache file, and whether it must miss
     K = hyperplane_K(6)
     truth = w_dim(K, 3)
-    key = _cache_key(K, 3, None, DEFAULT_PRIMES, DEFAULT_ORACLE_CAP)
+    key = _cache_key(K, 3, None, DEFAULT_PRIMES)
     cert = truth.certificate.to_json()
     low = {**{k: v for k, v in cert.items() if k != "verified_vectors"}, "mode": "single-prime", "rank": 499}
     records = [

@@ -1,4 +1,4 @@
-"""Exact linear algebra: certificates, modular vs rational ranks, nullspaces."""
+"""Exact linear algebra: certificates, modular vs rational ranks, rank-nullity against the oracle."""
 
 import random
 import time
@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from _oracles import block_diagonal, gauss_rank_mod_p, gauss_rank_rational, mat_vec, union_find_components
+from _oracles import block_diagonal, gauss_rank_mod_p, gauss_rank_rational, mat_vec, nullspace, union_find_components
 from koszul.errors import InvalidInputError, ResourceLimitError
 from koszul.linalg import (
     DEFAULT_PRIMES,
@@ -22,7 +22,6 @@ from koszul.linalg import (
     bareiss_rank,
     certified_rank,
     is_prime,
-    nullspace,
     rank,
     rational_rank,
 )

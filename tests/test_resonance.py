@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
-from _oracles import decomposable_search
+from _oracles import decomposable_search, nullspace
 from koszul.bases import pair_rank, sym_dim
 from koszul.errors import InvalidInputError
 from koszul.hilbert import w_dim
+from koszul.linalg import PrimeField, Rational, SparseMatrix
 from koszul.resonance import (
     kperp_basis,
     pairs_with,
@@ -60,9 +61,20 @@ def test_kperp_heisenberg_is_symplectic_line():
 
 
 def test_kperp_pairing_random():
-    for seed in range(8):
-        K = random_K(5, 4, seed + 30)
-        for phi in kperp_basis(K):
+    # kperp_basis, read off K's reduced basis, equals the oracle's nullspace of
+    # K's integer basis element for element, and each vector annihilates K
+    cases = [zero_K(4), full_K(5), heisenberg_K(2), heisenberg_K(3), weyman_K(6), weyman_K(8)]
+    cases += [random_K(5, 4, seed + 30) for seed in range(8)]
+    for seed in range(20):
+        n = 3 + seed % 6
+        for field in (Rational(), PrimeField(101), PrimeField(2**31 - 1)):
+            cases.append(random_K(n, seed * 7 % (comb(n, 2) + 1), seed + 900, field))
+    for K in cases:
+        integer_basis = SparseMatrix(K.effective_m, K.pair_count,
+                                     [(s, t, c) for s, kvec in enumerate(K.int_basis) for t, c in enumerate(kvec) if c])
+        perp = kperp_basis(K)
+        assert perp == nullspace(integer_basis, K.field), (K.n, K.effective_m, K.field)
+        for phi in perp:
             assert pairs_with(K, phi)
 
 
@@ -212,8 +224,6 @@ def test_pencil_two_dimensional_irrational_root():
     w2 = [0] * width
     w2[pair_rank(0, 2)] = 1
     w2[pair_rank(1, 3)] = 1
-    from koszul.linalg import SparseMatrix, nullspace, Rational
-
     pairing = SparseMatrix(
         2, width, [(0, i, v) for i, v in enumerate(w1) if v] + [(1, i, v) for i, v in enumerate(w2) if v]
     )
