@@ -50,7 +50,6 @@ from .linalg import (
     Rational,
     SparseMatrix,
     annihilates,
-    certified_rank,
     is_prime,
     rank,
 )

@@ -294,8 +294,9 @@ _TABLE_LIMIT = 16
 
 
 def _emit_report(report, config: RunConfig) -> int:
+    data = report.to_json()  # every bound, one of them refused if too large, before any output
     if config.fmt == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     if config.fmt == "csv":
         print("field,value,conditions")

@@ -17,15 +17,18 @@ tags so that nothing reads as an unconditional claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma, log
 from typing import Sequence
 
-from .errors import InvalidInputError, KoszulError
+from .errors import InvalidInputError, KoszulError, ResourceLimitError
 from .hilbert import WDimension, hilbert_bound, w_dim
 from .linalg import FieldSpec, RankCache
 from .subspaces import SubspaceK
 
 THETA_DEGREE_SHIFT = 2  # theta_{q+2} versus dim W_q, used everywhere below
+# the most decimal digits a report's growth bound may have: CPython's default limit
+# on converting an int to text, fixed here so that no interpreter setting changes it
+MAX_DIGITS = 4300
 
 
 def _comb0(a: int, b: int) -> int:
@@ -127,7 +130,8 @@ class GroupInvariantReport:
     for it in ``conditions``; ``notes`` carry free-form caveats.  The
     materialized Chen table stops after ``CHEN_TABLE_ROWS`` degrees (the
     full table for a Torelli-sized b1 would hold thousands of huge
-    binomials); :meth:`chen_bound_at` evaluates any degree on demand.
+    binomials); :meth:`chen_bound_at` evaluates any degree on demand.  The
+    growth bound too is evaluated on demand, and refused beyond MAX_DIGITS.
     """
 
     CHEN_TABLE_ROWS = 64
@@ -139,7 +143,6 @@ class GroupInvariantReport:
     w_vanish_degree: int  # W_q = 0 for q >= this
     vnc_bound: int  # virtual nilpotency class of G/G''
     alexander_stabilization_degree: int  # I-adic filtration stabilizes here
-    growth_bound: int  # polynomial growth degree of G/G''
     chen_upper_bounds: tuple[tuple[int, int], ...]  # (q, bound), q from 2 up
     conditions: tuple[tuple[str, tuple[str, ...]], ...]
     notes: tuple[str, ...] = ()
@@ -150,6 +153,18 @@ class GroupInvariantReport:
     def chen_bound_at(self, q: int) -> int:
         """theta_q bound for any degree, beyond the materialized table."""
         return chen_upper_bound(self.b1, q)
+
+    @property
+    def growth_bound(self) -> int:
+        """Polynomial growth degree of G/G'': b1 + (b1-2) C(2 b1-3, b1-4), or
+        ResourceLimitError when it has more than MAX_DIGITS digits, its size estimated
+        from lgamma before the binomial is computed and compared exactly near the limit."""
+        n = self.b1
+        log10 = (lgamma(2 * n - 2) - lgamma(n - 3) - lgamma(n + 2) + log(n - 2)) / log(10) if n > 3 else 0.0
+        value = 0 if log10 > MAX_DIGITS + 1 else n + (n - 2) * _comb0(2 * n - 3, n - 4)
+        if not 0 < value < 10**MAX_DIGITS:
+            raise ResourceLimitError(f"the growth bound for b1 = {n} has more than {MAX_DIGITS} digits")
+        return value
 
     def to_json(self) -> dict:
         return {
@@ -211,7 +226,6 @@ def bounds_from_b1(
         w_vanish_degree=n - 3,
         vnc_bound=n - 2,
         alexander_stabilization_degree=n - 3,
-        growth_bound=n + (n - 2) * _comb0(2 * n - 3, n - 4),
         chen_upper_bounds=tuple(
             (q, chen_upper_bound(n, q))
             for q in range(2, min(n - 1, 2 + GroupInvariantReport.CHEN_TABLE_ROWS))

@@ -14,7 +14,7 @@ form holds over every coefficient field, so a modular rank that attains
 min(#columns, dim Im) certifies the dimension exactly over Q (hence over
 C for rationally defined K); in particular certified zeros are rigorous.
 A modular rank short of that bound is certified by kernel vectors of the
-restricted matrix verified over Z (:func:`koszul.linalg.certified_rank`).
+restricted matrix verified over Z (:func:`koszul.linalg.rank` with no field).
 
 The differentials follow the sign rule
 
@@ -42,7 +42,6 @@ from .linalg import (
     RankCertificate,
     Rational,
     SparseMatrix,
-    certified_rank,
     rank,
 )
 from .subspaces import SubspaceK, kperp_basis
@@ -106,14 +105,13 @@ def im_delta2_dim(n: int, q: int) -> int:
 
 
 def verify_im_delta2_dim(n: int, q: int, fieldspec: FieldSpec | None = None) -> RankCertificate:
-    """Recompute rank(delta_{2,q}) and check it against the closed form."""
+    """Recompute rank(delta_{2,q}) over the field (None: automatic, as for :func:`w_dim`)
+    and check it against the closed form."""
     expected = im_delta2_dim(n, q)
-    matrix = koszul_differential(2, n, q)
-    fieldspec = fieldspec or PrimeField(DEFAULT_PRIMES[0])
-    cert = rank(matrix, fieldspec, structural_bound=expected)
+    cert = rank(koszul_differential(2, n, q), fieldspec, structural_bound=expected)
     if cert.rank != expected:
         raise KoszulError(
-            f"rank(delta_2) = {cert.rank} over {fieldspec.token()} disagrees "
+            f"rank(delta_2) = {cert.rank} ({cert.mode}) disagrees "
             f"with the closed form {expected} at (n, q) = ({n}, {q})"
         )
     return cert
@@ -261,14 +259,6 @@ def _field(subspace: SubspaceK, fieldspec: FieldSpec | None) -> FieldSpec | None
     return subspace.field if isinstance(subspace.field, PrimeField) else fieldspec
 
 
-def _certified(matrix, bound, fieldspec, primes, oracle_cap) -> RankCertificate:
-    """Rank of a matrix built from K over the field :func:`_field` chose; ``oracle_cap``
-    caps only a forced rational rank."""
-    if fieldspec is None:
-        return certified_rank(matrix, bound, primes)
-    return rank(matrix, fieldspec, structural_bound=bound, oracle_cap=oracle_cap)
-
-
 def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes) -> str:
     """What a degree's certificate depends on: the content hash of K's m x C(n,2)
     integer basis over K's field, q, and the field: "auto" with the primes, or the
@@ -283,7 +273,7 @@ def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes)
 def _answers(cert: RankCertificate, bound: int, fieldspec: FieldSpec | None, primes) -> bool:
     """Whether a cached certificate can answer this request: a rank in [0, bound] for this
     bound, from the forced prime alone, the oracle if Q is forced, else certified exact
-    from the first requested prime, as :func:`koszul.linalg.certified_rank` returns it."""
+    from the first requested prime, as the automatic :func:`koszul.linalg.rank` returns it."""
     if not (0 <= cert.rank <= bound and cert.structural_bound == bound):
         return False
     if isinstance(fieldspec, Rational):
@@ -304,13 +294,13 @@ def w_dim(
 ) -> WDimension:
     """Dimension of W_q(V, K) via the exactness shortcut.
 
-    With ``fieldspec=None`` (and K defined over Q) the rank comes from
-    :func:`koszul.linalg.certified_rank`: the rank mod the first prime,
-    certified when it reaches min(#columns, dim Im delta_2), else by kernel
-    vectors verified over Z, with the further primes as the first lift
-    primes; the rational oracle does not run.  An explicit ``fieldspec``
-    computes one rank over that field (over Q, by the oracle under
-    ``oracle_cap``, the only rank the cap bounds).
+    The rank is :func:`koszul.linalg.rank` over the field: with
+    ``fieldspec=None`` (and K defined over Q) the automatic mode, the rank
+    mod the first prime, certified when it reaches min(#columns, dim Im
+    delta_2), else by kernel vectors verified over Z, with the further primes
+    as the first lift primes; the rational oracle does not run.  An explicit
+    ``fieldspec`` computes one rank over that field (over Q, by the oracle
+    under ``oracle_cap``, the only rank the cap bounds).
 
     The one user of ``cache``: a hit under :func:`_cache_key` that passes
     :func:`_answers` builds no matrix and runs no oracle, so it answers
@@ -324,7 +314,8 @@ def w_dim(
     key = None if cache is None else _cache_key(subspace, q, fieldspec, primes)
     cert = None if cache is None else cache.get(key)
     if cert is None or not _answers(cert, bound, fieldspec, primes):
-        cert = _certified(restricted_delta2(subspace, q), bound, fieldspec, primes, oracle_cap)
+        cert = rank(restricted_delta2(subspace, q), fieldspec, structural_bound=bound, primes=primes,
+                    oracle_cap=oracle_cap)
         if cache is not None:
             cache.put(key, cert)
     return WDimension(q, image_dim - cert.rank, cert)
@@ -361,7 +352,8 @@ def w_dim_alt(
     ])
     composite = projection.multiply(d3)
     bound = min(composite.ncols, target_dim)
-    cert = _certified(composite, bound, _field(subspace, fieldspec), primes or DEFAULT_PRIMES, oracle_cap)
+    cert = rank(composite, _field(subspace, fieldspec), structural_bound=bound, primes=primes or DEFAULT_PRIMES,
+                oracle_cap=oracle_cap)
     return target_dim - cert.rank
 
 

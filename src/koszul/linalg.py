@@ -17,24 +17,28 @@ are certified lower bounds.  They become certified exact when they attain
 a structural upper bound -- either min(nrows, ncols) or a bound supplied by
 the caller.  Every elimination runs to completion, so a modular rank above
 a bound proves the bound invalid.  Rational ranks are exact by
-construction.  When the modular rank r falls short of the bound,
-:func:`certified_rank`, the one escalation policy, proves the matching
-upper bound instead: it lifts one kernel vector per free column of the
-reduced echelon form mod p to Z (rational reconstruction, CRT over more
-primes) and checks each exactly against the integer triplets.  The vectors
-are independent (the identity on the free columns), so r <= rank over Q <= r.
-A later prime that shows a component more rank, or an earlier pivot set, is
-its new reference, so every lift ends in a certificate (_kernel_certificate).
-All rank-deficient components are lifted and checked together: their
-blocks' columns side by side, the k-th vector of every block in slot k, so a
-lift round is one rational reconstruction pass and one exact check.
+construction.  :func:`rank` is the one entry point: a forced field gives
+the oracle rank or the rank mod p, and the automatic mode (no field), the
+one escalation policy, proves the matching upper bound when the rank r mod
+the first prime falls short of the bound: it lifts one kernel vector per
+free column of the reduced echelon form mod p to Z (rational
+reconstruction, CRT over more primes) and checks each exactly against the
+integer triplets.  The vectors are independent (the identity on the free
+columns), so r <= rank over Q <= r.  A later prime that shows a component
+more rank, or an earlier pivot set, is its new reference, so every lift
+ends in a certificate (_kernel_certificate).  All rank-deficient
+components are lifted and checked together: their blocks' columns side by
+side, the k-th vector of every block in slot k, so a lift round is one
+rational reconstruction pass and one exact check.
 
 The modular engine eliminates each connected component of the bipartite
-nonzero pattern on a dense float64 block of balanced residues: blocks of
-at most _BASE rows stacked by shape, larger ones panel by panel (recursive
+pattern of the exact entries on a dense float64 block of balanced
+residues, an entry that vanishes mod p kept as a zero: blocks of at most
+_BASE rows stacked by shape, larger ones panel by panel (recursive
 Gauss-Jordan of the panel, then elimination from the rows below, and for
-the reduced echelon form from the pivot rows above).  Components are
-labelled by min-label hooking and pointer jumping in numpy.
+the reduced echelon form from the pivot rows above); _pivots is the one
+call per stack.  Components are labelled once per matrix, whatever the
+prime, by min-label hooking and pointer jumping in numpy.
 
 Reduction x - rint(x/p)*p leaves |x| <= (p+3)/2 <= 2^30 + 1 (the rounded
 quotient may be off by one).  Each update t <- t - C*E (mod p), C with
@@ -51,8 +55,8 @@ A matrix may carry a candidate symmetry ``mirror`` = (row map pi, column
 map tau, column signs eps); :func:`koszul.hilbert.restricted_delta2` sets
 one when the index reversal maps K onto itself.  The rank mod p trusts
 nothing it is given: it checks exactly that pi and tau are involutions,
-that eps is +-1 with eps[tau] = eps, and that the triplets mod p,
-relabelled to (pi r, tau c, eps_c v), are the matrix's own triplets.  The
+that eps is +-1 with eps[tau] = eps, and that the triplets mod p (zeros
+kept), relabelled to (pi r, tau c, eps_c v), are the matrix's own triplets.  The
 map is then an automorphism of the matrix mod p, so the two components of
 a swapped pair have blocks equal up to permutation and signs, hence equal
 rank: one of them is eliminated and counted twice.  A candidate that fails
@@ -60,8 +64,8 @@ the check is ignored and every component is eliminated.
 
 A matrix may also carry ``spare``, a boolean mask of rows expected to be
 combinations of the others; :func:`koszul.hilbert.restricted_delta2` marks
-one Koszul-redundant row per monomial of degree q+2.  The rank mod p labels
-the components and checks the mirror on the full pattern, then builds the
+one Koszul-redundant row per monomial of degree q+2.  The rank mod p checks
+the mirror on the full pattern and its components, then builds the
 block of each selected component from its non-spare triplets only, and
 checks _DENSE_BYTES on these projected blocks, the ones it allocates.  This
 is sound whatever the mask says: writing S A for A without its spare rows,
@@ -380,12 +384,6 @@ class SparseMatrix:
         """Each entry's value reduced into [0, p), zeros kept."""
         return np.array([c % p for c in self.coeffs], dtype=np.int64)[self.idx]
 
-    def reduced_mod(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries reduced into [0, p), zeros dropped."""
-        vals = self.residues(p)
-        keep = vals != 0
-        return self.rows[keep], self.cols[keep], vals[keep]
-
 
 # ---------------------------------------------------------------------------
 # dense kernels
@@ -590,12 +588,13 @@ def _eliminate(rows: np.ndarray, cols: list[int], es: np.ndarray, p: int) -> Non
         _update(t, t[:, cols], es, p)
 
 
-def _block_rank(block: np.ndarray, p: int, reduced: bool = False) -> tuple[int, list[int]]:
-    """Rank and pivot columns of one component's block, every panel eliminated: each
-    panel is put in reduced echelon form, then eliminated from the rows below.  With
-    ``reduced`` the pivot rows are gathered in block[:rank] and each panel is eliminated
-    from the pivot rows above too, which leaves block[:rank] in reduced echelon form."""
-    rank, pivots = 0, []
+def _block_rank(block: np.ndarray, p: int, reduced: bool = False) -> np.ndarray:
+    """Pivot column of each row of one component's block (-1 for a row without one), every
+    panel eliminated: each panel is put in reduced echelon form, then eliminated from the
+    rows below.  With ``reduced`` the pivot rows are gathered in block[:rank] and each panel
+    is eliminated from the pivot rows above too, which leaves block[:rank] in reduced
+    echelon form."""
+    piv, rank = np.full(block.shape[0], -1, dtype=np.int64), 0
     for i0 in range(0, block.shape[0], _PANEL):
         r, cols = _jordan(block[i0:i0 + _PANEL], p)
         top = i0  # where the panel's pivot rows sit
@@ -603,13 +602,21 @@ def _block_rank(block: np.ndarray, p: int, reduced: bool = False) -> tuple[int, 
             top = rank
             block[top:top + r] = block[i0:i0 + r]
             _eliminate(block[:top], cols, _split(block[top:top + r]), p)
+        piv[top:top + r] = cols
         rank += r
-        pivots += cols
         # named so that it lives through the next panel: freed at once, it made the
         # later _split calls 40 % slower on one large component (the allocator)
         es = _split(block[top:top + r])
         _eliminate(block[i0 + _PANEL:], cols, es, p)
-    return rank, pivots
+    return piv
+
+
+def _pivots(stack: np.ndarray, p: int, reduced: bool = False) -> np.ndarray:
+    """Pivot column of each row of every block of a stack from _stacks (-1 for none): the
+    small blocks together by _jordan_base, a big one alone by _block_rank."""
+    if stack.shape[1] <= _BASE:
+        return _jordan_base(stack, p)
+    return _block_rank(stack[0], p, reduced)[None]
 
 
 @dataclass(frozen=True)
@@ -677,20 +684,19 @@ def _balanced(vals: np.ndarray, p: int) -> np.ndarray:
     return (vals - p * (vals > p // 2)).astype(np.float64)
 
 
-def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   p: int, comp: np.ndarray) -> np.ndarray | None:
+def _orbit_weights(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndarray) -> np.ndarray | None:
     """How often each component's rank counts under the matrix's candidate ``mirror``:
     1 for a component it fixes, 2 for the first and 0 for the second of two it swaps.
 
-    Used only after an exact check that the candidate (row map pi, column map tau,
-    column signs eps) is an involution and that the triplets mod p, relabelled
-    (pi r, tau c, eps_c v), are the same triplets; then the map is an automorphism
-    of the matrix mod p, and blocks it swaps have equal rank.  None when there is
-    no candidate or the check fails."""
+    ``vals`` holds each triplet's residue in [0, p), zeros kept.  Used only after an
+    exact check that the candidate (row map pi, column map tau, column signs eps) is an
+    involution and that the triplets mod p, relabelled (pi r, tau c, eps_c v), are the
+    same triplets; then the map is an automorphism of the matrix mod p, and blocks it
+    swaps have equal rank.  None when there is no candidate or the check fails."""
     if matrix.mirror is None:
         return None
     pi, tau, eps = (np.asarray(a) for a in matrix.mirror)
-    nrows, ncols = matrix.shape
+    (nrows, ncols), rows, cols = matrix.shape, matrix.rows, matrix.cols
     if not (pi.shape == (nrows,) and tau.shape == eps.shape == (ncols,)
             and all(a.dtype.kind == "i" for a in (pi, tau, eps))
             and ((pi >= 0) & (pi < nrows)).all() and ((tau >= 0) & (tau < ncols)).all()
@@ -701,7 +707,7 @@ def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, val
     order = np.argsort(key)
     match = order[np.minimum(np.searchsorted(key, image, sorter=order), key.size - 1)]
     # the relabelling is injective, so meeting every key once makes it a bijection
-    if not (np.array_equal(key[match], image) and np.array_equal(vals[match], np.where(eps[cols] < 0, p - vals, vals))):
+    if not (np.array_equal(key[match], image) and np.array_equal(vals[match], np.where(eps[cols] < 0, -vals % p, vals))):
         return None
     ids = np.arange(int(comp.max()) + 1)
     swap = np.empty(ids.size, dtype=np.int64)
@@ -709,15 +715,14 @@ def _orbit_weights(matrix: SparseMatrix, rows: np.ndarray, cols: np.ndarray, val
     return np.where(swap == ids, 1, np.where(ids < swap, 2, 0))
 
 
-def _rank_mod_p(matrix: SparseMatrix, p: int) -> int:
+def _rank_mod_p(matrix: SparseMatrix, p: int, comp: np.ndarray) -> int:
     """A lower bound on the rank mod p that reaches it when the candidate ``spare`` rows
-    are redundant: the mirror is checked on the full pattern, then every block it
-    selects is eliminated to completion without the spare rows."""
-    rows, cols, vals = matrix.reduced_mod(p)
-    if rows.size == 0:
-        return 0
-    comp = _components(rows, cols, matrix.nrows)
-    weight = _orbit_weights(matrix, rows, cols, vals, p, comp)
+    are redundant.  ``comp`` labels the components of the exact pattern (_components),
+    whose blocks keep the entries that vanish mod p as zeros: the mirror is checked on
+    the full pattern, then every block it selects is eliminated to completion without
+    the spare rows."""
+    rows, cols, vals = matrix.rows, matrix.cols, matrix.residues(p)
+    weight = _orbit_weights(matrix, vals, p, comp)
     if weight is None:
         weight = np.ones(int(comp.max()) + 1, dtype=np.int64)
     select = weight > 0
@@ -725,13 +730,9 @@ def _rank_mod_p(matrix: SparseMatrix, p: int) -> int:
     if spare.dtype == bool and spare.shape == (matrix.nrows,):
         keep = ~spare[rows]
         rows, cols, vals, comp = rows[keep], cols[keep], vals[keep], comp[keep]
-    lay = _layout(rows, cols, comp, select)
     total = 0
-    for batch, stack in _stacks(lay, _balanced(vals, p), select):
-        if stack.shape[1] > _BASE:
-            total += int(weight[batch[0]]) * _block_rank(stack[0], p)[0]
-        else:
-            total += int(weight[batch] @ np.count_nonzero(_jordan_base(stack, p) >= 0, axis=1))
+    for batch, stack in _stacks(_layout(rows, cols, comp, select), _balanced(vals, p), select):
+        total += int(weight[batch] @ np.count_nonzero(_pivots(stack, p) >= 0, axis=1))
     return total
 
 
@@ -764,11 +765,7 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | N
     pivot = np.zeros(int(lay.w.sum()), dtype=bool)
     found = [np.zeros((3, 0), dtype=np.int64)]
     for batch, stack in _stacks(lay, _balanced(residues, p), select):
-        if stack.shape[1] > _BASE:
-            r, cols = _block_rank(stack[0], p, reduced=True)
-            stack, piv = stack[:, :r], np.array(cols, dtype=np.int64).reshape(1, r)
-        else:
-            piv = _jordan_base(stack, p)
+        piv = _pivots(stack, p, reduced=True)
         b, i = np.nonzero(piv >= 0)  # the pivot rows
         rank[batch] = np.bincount(b, minlength=batch.size)
         start = offset[batch]
@@ -870,23 +867,22 @@ def _hadamard_log2(lay: _Layout, matrix: SparseMatrix) -> np.ndarray:
     return np.bincount(row_comp, weights=0.5 * np.log2(count) + widest, minlength=lay.h.size)
 
 
-def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, hadamard: np.ndarray,
-                        bound: int | None, primes: list[int]) -> RankCertificate | None:
+def _kernel_certificate(matrix: SparseMatrix, comp: np.ndarray, bound: int | None,
+                        primes: list[int]) -> RankCertificate | None:
     """Rank certified by kernel vectors verified over Z, primes drawn from
     _lift_primes(primes); None only if the guard below fires.
 
-    ``lay`` holds the blocks of the exact nonzero pattern, so an entry that vanishes
-    mod p stays in its block as a zero; ``hadamard`` is their _hadamard_log2.  Each
-    block short of full row rank mod its reference prime (at first primes[0]) gets one
-    kernel vector per free column of its reduced echelon form (see _echelons), lifted
-    by rational reconstruction and checked against the block's exact triplets; all
-    such blocks together, so a round is one _lift and one _annihilates.  A block whose
-    vectors fail meets the next prime p under one rule: a larger rank, or the same rank
+    ``comp`` labels the components of the exact pattern (_components), so an entry that
+    vanishes mod p stays in its block as a zero.  Each block short of full row rank mod
+    its reference prime (at first primes[0]) gets one kernel vector per free column of
+    its reduced echelon form (see _echelons), lifted by rational reconstruction and
+    checked against the block's exact triplets; all such blocks together, so a round
+    is one _lift and one _annihilates.  A block whose vectors fail meets the next prime p under one rule: a larger rank, or the same rank
     with a lexicographically earlier pivot set, makes p its reference (modulus p); the
     same rank and set joins p's residues by CRT; anything else skips p for the block.
 
     The guard -- a modulus past 2 H^2, H the block's Hadamard bound, while its vectors
-    still fail -- cannot fire.  Mod p each leading range of columns has at most its
+    still fail (H from _hadamard_log2) -- cannot fire.  Mod p each leading range of columns has at most its
     rational rank, so a prime shows at most the rational rank r and, at rank r, an
     i-th pivot column no earlier than the rational one: the rational (rank, pivot set)
     is the best.  A prime showing less divides a nonzero minor (every r x r one, or
@@ -900,6 +896,8 @@ def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, ha
     A rank sum above ``bound`` proves the bound invalid and raises.  The certificate's
     primes are those consulted, in order.
     """
+    lay, vals = _layout(matrix.rows, matrix.cols, comp), matrix.vals
+    hadamard = _hadamard_log2(lay, matrix)
     gen = _lift_primes(primes)
     used = [next(gen)]
     rank, pivot, (col, slot, res) = _echelons(lay, matrix.residues(used[0]), used[0])
@@ -911,10 +909,7 @@ def _kernel_certificate(matrix: SparseMatrix, lay: _Layout, vals: np.ndarray, ha
     pending = fresh = rank < lay.h
     vectors = 0
     while True:
-        total = int(rank.sum())
-        if bound is not None and total > bound:
-            raise InvalidInputError(f"computed rank {total} exceeds declared structural bound "
-                                    f"{bound}; the bound is invalid")
+        total = _within(int(rank.sum()), bound)
         entry = owner[col]  # the component of each kernel vector entry
         if fresh.any():
             live = np.flatnonzero(fresh[entry])  # the entries of the fresh components
@@ -973,62 +968,53 @@ def rational_rank(matrix: SparseMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP) ->
     return bareiss_rank(matrix.to_dense_rows())
 
 
+def _within(value: int, bound: int | None) -> int:
+    """The rank, once checked against the caller's bound: a rank above it proves it invalid."""
+    if bound is not None and value > bound:
+        raise InvalidInputError(f"computed rank {value} exceeds declared structural bound {bound}; "
+                                "the bound is invalid")
+    return value
+
+
 def rank(
     matrix: SparseMatrix,
-    fieldspec: FieldSpec,
+    fieldspec: FieldSpec | None,
     *,
     structural_bound: int | None = None,
+    primes: Sequence[int] = DEFAULT_PRIMES,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> RankCertificate:
-    """Rank certificate for ``matrix`` over the given field.
+    """Rank certificate for ``matrix``: over Q by the oracle under ``oracle_cap``, over
+    F_p for ``PrimeField(p)``, and with ``fieldspec=None`` certified exact over Q.
 
-    ``structural_bound`` is a caller-known upper bound on the rational
-    rank; a modular rank attaining it (or min(nrows, ncols)) is promoted
-    to certified-exact.  The elimination always runs to completion, so an
-    invalid bound raises whenever the computed rank exceeds it.
+    ``structural_bound`` is a caller-known upper bound on the rational rank; a modular
+    rank attaining it (or min(nrows, ncols)) is certified exact.  The elimination always
+    runs to completion, so an invalid bound raises whenever the computed rank exceeds it.
+
+    With ``fieldspec=None`` every given prime must be valid (see :class:`PrimeField`).
+    The rank mod primes[0] is returned when it reaches the bound.  Short of it, the
+    kernel certificate, with the further given primes as its first lift primes, proves
+    the rational rank ("kernel-verified"), which a later prime may show larger than the
+    rank mod primes[0].  Only if its guard fires, which the argument in
+    :func:`_kernel_certificate` rules out, is the rank mod primes[0] returned uncertified.
     """
     if matrix.nnz == 0 and structural_bound is None:
         structural_bound = 0  # structurally empty: rank 0 over every field
     if isinstance(fieldspec, Rational):
-        value = rational_rank(matrix, oracle_cap)
-    else:
-        value = _rank_mod_p(matrix, fieldspec.p)
-    if structural_bound is not None and value > structural_bound:
-        raise InvalidInputError(
-            f"computed rank {value} exceeds declared structural bound "
-            f"{structural_bound}; the bound is invalid"
-        )
-    return _certify(value, fieldspec, matrix, structural_bound)
-
-
-def _certify(value: int, fieldspec: FieldSpec, matrix: SparseMatrix, structural_bound: int | None) -> RankCertificate:
-    if isinstance(fieldspec, Rational):
+        value = _within(rational_rank(matrix, oracle_cap), structural_bound)
         return RankCertificate(value, "rational-exact", (), True, True, structural_bound)
-    bound = min(matrix.shape + (() if structural_bound is None else (structural_bound,)))
-    return RankCertificate(value, "single-prime", (fieldspec.p,), True, value >= bound, structural_bound)
-
-
-def certified_rank(matrix: SparseMatrix, bound: int | None, primes: Sequence[int]) -> RankCertificate:
-    """Rank of an integer matrix, certified exact.
-
-    ``bound`` is an upper bound on the rational rank, as for :func:`rank`.  The rank
-    mod primes[0] is returned when it reaches the bound (or min(nrows, ncols)).  Short
-    of it, the kernel certificate, with the further given primes as its first lift
-    primes, proves the rational rank ("kernel-verified"), which a later prime may show
-    larger than the rank mod primes[0].  Only if its guard fires, which the argument in
-    :func:`_kernel_certificate` rules out, is the rank mod primes[0] returned
-    uncertified.  Every given prime must be valid (see :class:`PrimeField`).
-    """
-    if not primes:
-        raise InvalidInputError("certified_rank needs at least one prime")
-    fields = [PrimeField(p) for p in primes]  # every given prime is validated
-    cert = rank(matrix, fields[0], structural_bound=bound)
-    if cert.certified_exact:
+    if fieldspec is None and not primes:
+        raise InvalidInputError("the automatic rank needs at least one prime")
+    given = [fieldspec.p] if fieldspec is not None else [PrimeField(p).p for p in primes]
+    comp = _components(matrix.rows, matrix.cols, matrix.nrows)
+    value = _within(_rank_mod_p(matrix, given[0], comp) if comp.size else 0, structural_bound)
+    exact = value >= min(matrix.shape + (() if structural_bound is None else (structural_bound,)))
+    cert = RankCertificate(value, "single-prime", (given[0],), True, exact, structural_bound)
+    if fieldspec is not None or exact:
         return cert
-    if matrix.nnz == 0:
-        return RankCertificate(0, "kernel-verified", cert.primes, True, True, bound, 0)
-    lay = _layout(matrix.rows, matrix.cols, _components(matrix.rows, matrix.cols, matrix.nrows))
-    return _kernel_certificate(matrix, lay, matrix.vals, _hadamard_log2(lay, matrix), bound, list(primes)) or cert
+    if not comp.size:  # no entry, so every vector is in the kernel
+        return RankCertificate(0, "kernel-verified", cert.primes, True, True, structural_bound)
+    return _kernel_certificate(matrix, comp, structural_bound, given) or cert
 
 
 def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:

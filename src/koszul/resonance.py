@@ -146,7 +146,7 @@ def resonance_vanishes(
     Computes dim W_{n-3} with :func:`koszul.hilbert.w_dim` in its automatic
     mode: a certified zero proves vanishing, a certified nonzero refutes it.
     A nonzero dimension is certified by kernel vectors verified over Z
-    (:func:`koszul.linalg.certified_rank`); the rational oracle never runs,
+    (:func:`koszul.linalg.rank` with no field); the rational oracle never runs,
     so no oracle cap applies.  Should that certificate be missing, the
     verdict is flagged heuristic.  For n >= 4 and a small
     annihilator the exact pencil oracle is consulted to attach a witness to

@@ -30,7 +30,6 @@ from koszul.linalg import (
     DEFAULT_PRIMES,
     PrimeField,
     SparseMatrix,
-    certified_rank,
     rank,
     rational_rank,
 )
@@ -248,7 +247,7 @@ def test_criterion_7_oracle_agreement():
     assert cert.rank == 0 and cert.certified_lower_bound and not cert.certified_exact
     assert rational_rank(divisible) == 1
     for primes in ([7], [7, DEFAULT_PRIMES[0]]):
-        cert = certified_rank(divisible, None, primes)
+        cert = rank(divisible, None, primes=primes)
         assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
     ok(7, f"modular rank = rational rank on {checked} matrices x 3 primes; deficits flagged")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from math import comb
 
 import pytest
@@ -146,6 +147,19 @@ def test_exit_code_resource(capsys):
     )
     assert code == 1
     assert json.loads(err)["error"] == "ResourceLimitError"
+    # a growth bound of more than 4300 digits fails before the binomial is computed
+    too_large = [["group", "--b1", "7141", "--format", fmt] for fmt in ("table", "json", "csv")]
+    too_large += [["group", "--preset", "torelli", "--g", g] for g in ("40", "100")]
+    too_large += [["group", "--preset", "kahler", "--q-x", "4000"]]
+    for argv in too_large:
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == "" and "Traceback" not in err, argv
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ResourceLimitError", argv
+    code, out, _ = run(capsys, ["group", "--b1", "7140", "--format", "json"])
+    assert code == 0 and len(out.encode()) == 13417
 
 
 def test_determinism_across_threads(capsys):

@@ -27,7 +27,7 @@ import numpy as np
 from _oracles import block_diagonal, gauss_rank_rational
 from koszul.cli import main
 from koszul.errors import InvalidInputError
-from koszul.linalg import DEFAULT_PRIMES, SparseMatrix, certified_rank
+from koszul.linalg import DEFAULT_PRIMES, SparseMatrix, rank
 
 PRIMES = (7, 11, 13, 65537, 2**31 - 1)
 
@@ -84,11 +84,11 @@ def draw_case(rng, blocks):
 
 
 def check(matrix, true, primes, bound):
-    """certified_rank on one case, checked against the invariants above."""
+    """The automatic rank on one case, checked against the invariants above."""
     case = (matrix.to_dense_rows(), primes, bound)
     valid = bound is None or bound >= true
     try:
-        cert = certified_rank(matrix, bound, primes)
+        cert = rank(matrix, None, structural_bound=bound, primes=primes)
     except InvalidInputError:  # any other exception fails the test
         assert not valid, case
         return
@@ -130,7 +130,7 @@ def test_fuzz_found_cases():
     reordered = [[0, 7, 7 * big], [1, 0, 3 * 10**11 + 7], [0, 1, big]]
     for dense, prime, true in ((spread, 13, 2), (sevens, 7, 1), (reordered, 7, 2)):
         assert gauss_rank_rational(dense) == true
-        cert = certified_rank(from_dense(dense), None, [prime])
+        cert = rank(from_dense(dense), None, primes=[prime])
         assert cert.mode == "kernel-verified" and cert.rank == true, dense
         assert cert.primes[:2] == (prime, DEFAULT_PRIMES[0])
 

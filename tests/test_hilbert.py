@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from _oracles import gauss_rank_rational
+from _oracles import gauss_rank_mod_p, gauss_rank_rational
 from koszul.bases import monomial_rank, pair_rank, sym_dim
 from koszul.errors import InvalidInputError, ResourceLimitError
 from koszul.hilbert import (
@@ -487,6 +487,13 @@ def test_auto_cache_takes_only_strict_exact_records(tmp_path, monkeypatch):
         assert len(builds) == before + miss, i
 
 
+def labels(matrix):
+    """The engine's components of the matrix's exact pattern, as rank labels them."""
+    from koszul.linalg import _components
+
+    return _components(matrix.rows, matrix.cols, matrix.nrows)
+
+
 def full_rank(matrix, p):
     """The engine's rank with the matrix's mirror candidate and spare rows taken away:
     every full block eliminated."""
@@ -494,25 +501,23 @@ def full_rank(matrix, p):
 
     hints, matrix.mirror, matrix.spare = (matrix.mirror, matrix.spare), None, None
     try:
-        return _rank_mod_p(matrix, p)
+        return _rank_mod_p(matrix, p, labels(matrix))
     finally:
         matrix.mirror, matrix.spare = hints
 
 
 def full_layout(matrix, p):
-    """The engine's components of the matrix's full pattern mod p, and their blocks."""
-    from koszul.linalg import _components, _layout
+    """The engine's components of the matrix's full pattern, and their blocks."""
+    from koszul.linalg import _layout
 
-    rows, cols, _ = matrix.reduced_mod(p)
-    return _layout(rows, cols, _components(rows, cols, matrix.nrows))
+    return _layout(matrix.rows, matrix.cols, labels(matrix))
 
 
 def orbit_weights(matrix, p):
     """The engine's per-component weights for the matrix's mirror candidate (None: refused)."""
     from koszul.linalg import _orbit_weights
 
-    rows, cols, vals = matrix.reduced_mod(p)
-    return _orbit_weights(matrix, rows, cols, vals, p, full_layout(matrix, p).comp)
+    return _orbit_weights(matrix, matrix.residues(p), p, labels(matrix))
 
 
 @pytest.mark.parametrize("p, n_max", [(DEFAULT_PRIMES[0], 8), (DEFAULT_PRIMES[1], 7), (DEFAULT_PRIMES[2], 7), (65537, 7)])
@@ -530,7 +535,7 @@ def test_weyman_mirrored_ranks_match_full_elimination(p, n_max):
             weights = orbit_weights(matrix, p)
             assert weights is not None and 2 in weights.tolist(), (n, q)
             expected = im_delta2_dim(n, q) - hilbert_bound(n, q)
-            assert _rank_mod_p(matrix, p) == full_rank(matrix, p) == expected, (n, q)
+            assert _rank_mod_p(matrix, p, labels(matrix)) == full_rank(matrix, p) == expected, (n, q)
 
 
 def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
@@ -593,6 +598,15 @@ def test_tampered_mirror_is_refused():
     tampered.mirror = (pi, tau, eps)
     assert orbit_weights(tampered, p) is None
     assert rank(tampered, field).rank == full_rank(tampered, p)
+    # the true map where entries vanish mod the prime (Weyman's K at n = 6 has 5, 15
+    # and 20): their zero residues map to zeros, so the map is still accepted
+    small = 5
+    matrix = restricted_delta2(weyman_K(6), 1)
+    assert (matrix.residues(small) == 0).any()
+    weights = orbit_weights(matrix, small)
+    assert weights is not None and 2 in weights.tolist()
+    truth = gauss_rank_mod_p(matrix.to_dense_rows(), small)
+    assert rank(matrix, PrimeField(small)).rank == full_rank(matrix, small) == truth
 
 
 def test_no_mirror_without_reversal_symmetry():
@@ -642,7 +656,7 @@ def test_projected_ranks_match_full_elimination(p):
         for q in range(n - 2):
             matrix = restricted_delta2(K, q)
             expected = im_delta2_dim(n, q) - dim(n, q)
-            projected = _rank_mod_p(matrix, p)
+            projected = _rank_mod_p(matrix, p, labels(matrix))
             assert projected == full_rank(matrix, p), (n, q)
             # mod 3 the rank of Weyman's and the random K falls below the rational rank
             assert projected == expected if p != 3 else projected <= expected, (n, q)

@@ -20,7 +20,6 @@ from koszul.linalg import (
     _components,
     annihilates,
     bareiss_rank,
-    certified_rank,
     is_prime,
     rank,
     rational_rank,
@@ -216,14 +215,14 @@ def test_false_structural_bound_raises(monkeypatch):
     import koszul.linalg as linalg
 
     # a random 200 x 200 matrix has rank 200: a bound of 128 is false, and the
-    # full elimination exposes it through rank and certified_rank alike
+    # full elimination exposes it through a forced prime and the automatic rank alike
     rng = random.Random(4)
     m = from_dense([[rng.randint(-9, 9) for _ in range(200)] for _ in range(200)])
     assert rank(m, PrimeField(2**31 - 1)).rank == 200
     with pytest.raises(InvalidInputError):
         rank(m, PrimeField(2**31 - 1), structural_bound=128)
     with pytest.raises(InvalidInputError):
-        certified_rank(m, 128, DEFAULT_PRIMES)
+        rank(m, None, structural_bound=128, primes=DEFAULT_PRIMES)
     # a true bound certifies the rank and stops no elimination early: rank 100
     # by construction, independent triangular rows first, then negated copies,
     # so the first panel already reaches the rank
@@ -309,19 +308,19 @@ def test_seven_divisible_demonstrates_lower_bound_only():
     assert rank(m, Rational()).rank == 1
     # the escalation certifies the rational rank: the next prime, given or not,
     # shows rank 1 and becomes the reference
-    cert = certified_rank(m, None, [7])
+    cert = rank(m, None, primes=[7])
     assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
-    cert = certified_rank(m, None, [7, 11])
+    cert = rank(m, None, primes=[7, 11])
     assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, 11)
 
 
 def test_multi_prime_single_matches_rank():
-    # certified_rank over one prime reports that prime's rank, certified or not
+    # the automatic rank over one prime reports that prime's rank, certified or not
     p = DEFAULT_PRIMES[2]
     for seed in range(6):
         m = random_sparse(8, 9, 0.4, seed + 200)
         single = rank(m, PrimeField(p))
-        cert = certified_rank(m, None, [p])
+        cert = rank(m, None, primes=[p])
         assert cert.rank == single.rank and cert.primes[0] == p
         assert single.mode == "single-prime" and cert.mode in ("single-prime", "kernel-verified")
 
@@ -330,7 +329,7 @@ def test_multi_prime_matches_rational_on_randoms():
     for seed in range(30):
         m = random_sparse(12, 10, 0.45, seed + 300)
         rq = rank(m, Rational()).rank
-        cert = certified_rank(m, None, DEFAULT_PRIMES)
+        cert = rank(m, None, primes=DEFAULT_PRIMES)
         assert cert.rank == rq and cert.certified_exact
 
 
@@ -496,7 +495,7 @@ def test_transpose_rank_medium():
 
 def test_multi_prime_50x50():
     m = random_sparse(50, 50, 0.5, 4096)
-    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    cert = rank(m, None, primes=DEFAULT_PRIMES)
     assert cert.rank == rank(m, Rational()).rank and cert.certified_exact
 
 
@@ -517,7 +516,7 @@ def test_kernel_certificate_matches_oracle():
     cases = [low_rank(rng, 9, 14, 5, -9, 9), low_rank(rng, 14, 9, 6, -9, 9),
              low_rank(rng, 12, 12, 7, -10**6, 10**6), divisible]
     for dense in cases:
-        cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
+        cert = rank(from_dense(dense), None, primes=DEFAULT_PRIMES)
         assert cert.mode == "kernel-verified" and cert.certified_exact
         assert cert.rank == gauss_rank_rational(dense) and cert.verified_vectors > 0
         assert cert.primes[0] == p
@@ -527,14 +526,14 @@ def test_kernel_certificate_matches_oracle():
     x = [[rng.randint(-3, 3) if i >= 128 or k < 80 else 0 for k in range(100)] for i in range(150)]
     y = [[rng.randint(-3, 3) for _ in range(160)] for _ in range(100)]
     dense = [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
-    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
+    cert = rank(from_dense(dense), None, primes=DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.rank == 100 and cert.verified_vectors == 60
 
 
 def test_kernel_certificate_uses_more_primes_for_large_entries():
     rng = random.Random(32)
     dense = low_rank(rng, 10, 12, 7, -10**20, 10**20)
-    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
+    cert = rank(from_dense(dense), None, primes=DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.rank == 7
     assert len(cert.primes) > len(DEFAULT_PRIMES)
     assert cert.primes[:3] == DEFAULT_PRIMES and len(set(cert.primes)) == len(cert.primes)
@@ -561,7 +560,7 @@ def test_tampered_kernel_vector_is_rejected(monkeypatch):
     monkeypatch.setattr(linalg, "_lift", tampered)
     rng = random.Random(33)
     dense = low_rank(rng, 8, 11, 4, -5, 5)
-    cert = certified_rank(from_dense(dense), None, DEFAULT_PRIMES)
+    cert = rank(from_dense(dense), None, primes=DEFAULT_PRIMES)
     assert cert.mode == "single-prime" and cert.primes == DEFAULT_PRIMES[:1]
     assert cert.rank == 4 and not cert.certified_exact
 
@@ -588,7 +587,7 @@ def test_kernel_certificate_many_blocks_one_round():
     blocks = [low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 7, 5, 3, 1, 9), low_rank(rng, 12, 15, 3, 1, 4),
               low_rank(rng, 3, 3, 1, 1, 9), [[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 7]]]
     m = shuffled_blocks(blocks, 1)
-    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    cert = rank(m, None, primes=DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.primes == DEFAULT_PRIMES[:1]
     assert cert.rank == gauss_rank_rational(m.to_dense_rows()) == 2 + 3 + 3 + 1 + 2 + 2
     assert cert.verified_vectors == kernel_count(blocks) == 4 + 4 + 12 + 2
@@ -604,10 +603,10 @@ def test_kernel_check_reads_each_block_at_its_offset(monkeypatch):
     check = linalg._annihilates
     monkeypatch.setattr(linalg, "_annihilates", lambda rows, cols, vals, nrows, vectors:
                         check(rows, cols, vals, nrows, (vectors[0] + 1, *vectors[1:])))
-    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    cert = rank(m, None, primes=DEFAULT_PRIMES)
     assert cert.mode == "single-prime" and cert.rank == 5 and not cert.certified_exact
     monkeypatch.undo()
-    assert certified_rank(m, None, DEFAULT_PRIMES).mode == "kernel-verified"
+    assert rank(m, None, primes=DEFAULT_PRIMES).mode == "kernel-verified"
 
 
 def test_kernel_certificate_lifts_only_the_block_that_needs_it(monkeypatch):
@@ -624,7 +623,7 @@ def test_kernel_certificate_lifts_only_the_block_that_needs_it(monkeypatch):
         return lift(residues, modulus, owner, slot)
 
     monkeypatch.setattr(linalg, "_lift", counted)
-    cert = certified_rank(shuffled_blocks(blocks, 3), None, DEFAULT_PRIMES)
+    cert = rank(shuffled_blocks(blocks, 3), None, primes=DEFAULT_PRIMES)
     assert cert.mode == "kernel-verified" and cert.rank == 7 and cert.verified_vectors == kernel_count(blocks)
     assert len(cert.primes) > len(DEFAULT_PRIMES) and len(owners) == len(cert.primes)
     assert owners[0] == 3 and set(owners[1:]) == {1}
@@ -638,7 +637,7 @@ def test_kernel_lift_stops_at_the_hadamard_bound(monkeypatch):
     # first prime comes back uncertified
     rng = random.Random(35)
     m = shuffled_blocks([low_rank(rng, 4, 6, 2, 1, 9), low_rank(rng, 6, 8, 3, 10**20, 2 * 10**20)], 5)
-    assert certified_rank(m, None, DEFAULT_PRIMES).mode == "kernel-verified"
+    assert rank(m, None, primes=DEFAULT_PRIMES).mode == "kernel-verified"
     hadamard = linalg._hadamard_log2
 
     def understated(lay, matrix):
@@ -647,7 +646,7 @@ def test_kernel_lift_stops_at_the_hadamard_bound(monkeypatch):
         return bounds
 
     monkeypatch.setattr(linalg, "_hadamard_log2", understated)
-    cert = certified_rank(m, None, DEFAULT_PRIMES)
+    cert = rank(m, None, primes=DEFAULT_PRIMES)
     assert cert.mode == "single-prime" and cert.rank == 5 and not cert.certified_exact
 
 
@@ -661,9 +660,9 @@ def test_kernel_certificate_block_divisible_by_reference():
     m, true = shuffled_blocks(blocks, 4), 2 + 3 + 2
     assert gauss_rank_rational(m.to_dense_rows()) == true and gauss_rank_mod_p(m.to_dense_rows(), 7) == true - 1
     for primes in ([7], [7, 11], [11, 7], [7, DEFAULT_PRIMES[0]], list(DEFAULT_PRIMES)):
-        cert = certified_rank(m, None, primes)
+        cert = rank(m, None, primes=primes)
         assert cert.rank == true and cert.certified_exact and cert.primes[0] == primes[0], primes
-    cert = certified_rank(m, None, [7, 11])
+    cert = rank(m, None, primes=[7, 11])
     assert cert.mode == "kernel-verified" and cert.rank == true and cert.primes[:2] == (7, 11)
     assert cert.verified_vectors == kernel_count(blocks)
 
@@ -672,12 +671,12 @@ def test_seven_divisible_never_certifies_falsely():
     # rank 0 mod 7 is never certified; the next prime shows the rational rank
     m = SparseMatrix(1, 1, [(0, 0, 7)])
     for primes in ([7], [7, DEFAULT_PRIMES[0]]):
-        cert = certified_rank(m, None, primes)
+        cert = rank(m, None, primes=primes)
         assert cert.rank == 1 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
     # a zero block mod 7 beside a regular one
     m = SparseMatrix(2, 3, [(0, 0, 7), (0, 1, 14), (1, 2, 1)])
     for primes in ([7], [7, 11]):
-        cert = certified_rank(m, None, primes)
+        cert = rank(m, None, primes=primes)
         assert cert.rank == 2 and cert.certified_exact
 
 
@@ -686,11 +685,11 @@ def test_unlucky_first_prime_is_retried():
     # reference meets 11's larger rank, takes 11 as the reference and certifies rank 2
     dense = [[1, 1, 1], [1, 8, 1], [2, 9, 2]]
     assert gauss_rank_rational(dense) == 2 and gauss_rank_mod_p(dense, 7) == 1
-    cert = certified_rank(from_dense(dense), 3, (7, 11))
+    cert = rank(from_dense(dense), None, structural_bound=3, primes=(7, 11))
     assert cert.mode == "kernel-verified" and cert.certified_exact
     assert cert.rank == 2 and cert.primes == (7, 11) and cert.verified_vectors == 1
     # so does a larger rank found by a prime that was not given
-    cert = certified_rank(from_dense(dense), 3, (7,))
+    cert = rank(from_dense(dense), None, structural_bound=3, primes=(7,))
     assert cert.rank == 2 and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
 
 
@@ -701,19 +700,19 @@ def test_every_given_prime_is_a_reference(monkeypatch):
     # by CRT, and 13, which sees the full rank, becomes the reference of the one
     # kernel certificate; its kernel vector verifies
     m = SparseMatrix(3, 3, [(0, 0, 77), (1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)])
-    cert = certified_rank(m, None, (7, 11, 13))
+    cert = rank(m, None, primes=(7, 11, 13))
     assert cert.mode == "kernel-verified" and cert.certified_exact
     assert cert.rank == 2 and cert.primes == (7, 11, 13) and cert.verified_vectors == 1
     # one kernel certificate, each distinct given prime consulted once, in order
     references = []
     kernel = linalg._kernel_certificate
 
-    def counted(matrix, lay, vals, hadamard, bound, primes):
+    def counted(matrix, comp, bound, primes):
         references.append(primes[0])
-        return kernel(matrix, lay, vals, hadamard, bound, primes)
+        return kernel(matrix, comp, bound, primes)
 
     monkeypatch.setattr(linalg, "_kernel_certificate", counted)
-    cert = certified_rank(m, None, (7, 11, 7, 11))
+    cert = rank(m, None, primes=(7, 11, 7, 11))
     assert cert.rank == 2 and cert.certified_exact and cert.primes == (7, 11, DEFAULT_PRIMES[0])
     assert references == [7]
 

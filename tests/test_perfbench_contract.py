@@ -32,9 +32,13 @@ def test_tracer_install_and_remove_restore_every_name():
         assert patched
         for owner, name, original in patched:
             assert getattr(owner, name) is not original, (owner, name)
-        # looked up by name, as the program does; a forced field goes through hilbert.rank
+        # looked up by name, as the program does: a forced field and the automatic
+        # mode alike go through hilbert.rank
         hilbert.w_dim(subspaces.weyman_K(4), 1, PrimeField(DEFAULT_PRIMES[0]))
         assert {span.layer for span in tracer.spans} >= {"subspaces", "hilbert", "linalg.rank"}
+        tracer.spans.clear()
+        hilbert.w_dim(subspaces.weyman_K(4), 1)
+        assert "linalg.rank" in {span.layer for span in tracer.spans}
     finally:
         tracer.remove()
     for owner, name, original in patched:
