@@ -20,25 +20,21 @@ a bound proves the bound invalid.  Rational ranks are exact by
 construction.  :func:`rank` is the one entry point: a forced field gives
 the oracle rank or the rank mod p, and the automatic mode (no field), the
 one escalation policy, proves the matching upper bound when the rank r mod
-the first prime falls short of the bound: it lifts one kernel vector per
-free column of the reduced echelon form mod p to Z (rational
-reconstruction, CRT over more primes) and checks each exactly against the
-integer triplets.  The vectors are independent (the identity on the free
-columns), so r <= rank over Q <= r.  A later prime that shows a component
-more rank, or an earlier pivot set, is its new reference, so every lift
-ends in a certificate (_kernel_certificate).  All rank-deficient
-components are lifted and checked together: their blocks' columns side by
-side, the k-th vector of every block in slot k, so a lift round is one
-rational reconstruction pass and one exact check.
+the first prime falls short of the bound: one kernel vector per free column
+of the reduced echelon form mod p, lifted to Z and checked exactly against
+the integer triplets.  The vectors are independent (the identity on the
+free columns), so r <= rank over Q <= r; a later prime that shows a
+component more rank, or an earlier pivot set, is its new reference, so
+every lift ends in a certificate (_kernel_certificate).
 
-The modular engine eliminates each connected component of the bipartite
-pattern of the exact entries on a dense float64 block of balanced
-residues, an entry that vanishes mod p kept as a zero: blocks of at most
-_BASE rows stacked by shape, larger ones panel by panel (recursive
-Gauss-Jordan of the panel, then elimination from the rows below, and for
-the reduced echelon form from the pivot rows above); _pivots is the one
-call per stack.  Components are labelled once per matrix, whatever the
-prime, by min-label hooking and pointer jumping in numpy.
+The modular engine, _echelons, eliminates each connected component of the
+bipartite pattern of the exact entries once, on a dense float64 block of
+balanced residues, an entry that vanishes mod p kept as a zero: blocks of
+at most _BASE rows stacked by shape, larger ones panel by panel (recursive
+Gauss-Jordan of the panel, then elimination from the rows below, and for a
+block short of its full block's rows one backward sweep to reduced echelon
+form).  Components are labelled once per matrix, whatever the prime, by
+min-label hooking and pointer jumping in numpy.
 
 Reduction x - rint(x/p)*p leaves |x| <= (p+3)/2 <= 2^30 + 1 (the rounded
 quotient may be off by one).  Each update t <- t - C*E (mod p), C with
@@ -59,24 +55,21 @@ that eps is +-1 with eps[tau] = eps, and that the triplets mod p (zeros
 kept), relabelled to (pi r, tau c, eps_c v), are the matrix's own triplets.  The
 map is then an automorphism of the matrix mod p, so the two components of
 a swapped pair have blocks equal up to permutation and signs, hence equal
-rank: one of them is eliminated and counted twice.  A candidate that fails
+rank: one of them is eliminated, and the other takes its rank.  A candidate that fails
 the check is ignored and every component is eliminated.
 
 A matrix may also carry ``spare``, a boolean mask of rows expected to be
 combinations of the others; :func:`koszul.hilbert.restricted_delta2` marks
-one Koszul-redundant row per monomial of degree q+2.  The rank mod p checks
-the mirror on the full pattern and its components, then builds the
-block of each selected component from its non-spare triplets only, and
-checks _DENSE_BYTES on these projected blocks, the ones it allocates.  This
-is sound whatever the mask says: writing S A for A without its spare rows,
-a row submatrix's rank never exceeds the matrix's, and a swapped pair C, C'
-counts 2 rank(S A_C) <= rank(A_C) + rank(A_C'), so every result is still
-a certified lower bound.  When the spare rows really are redundant,
-rank(S A) = rank(A) summed over the components, and since rank(S A_C) <=
-rank(A_C) for each C, equality holds block by block.  Upper bounds do not
-change: the structural bound does not depend on the mask, and the kernel
-certificate never reads it; it always eliminates every full block and
-checks its vectors against every exact triplet.
+one Koszul-redundant row per monomial of degree q+2.  The pass at the
+first prime (_reference) checks the mirror on the full pattern, then
+builds each selected block from its non-spare triplets only and checks
+_DENSE_BYTES on these projected blocks, the ones it allocates.  This is
+sound whatever the mask says: writing S A for A without its spare rows, a
+row submatrix's rank never exceeds the matrix's, and a swapped pair C, C'
+counts 2 rank(S A_C) <= rank(A_C) + rank(A_C'), so every result is still a
+certified lower bound.  When the spare rows really are redundant, rank(S A)
+= rank(A), and as no block can gain rank, each keeps its own.  No upper
+bound rests on the mask (see _kernel_certificate).
 
 No rank function reads a cache.  :class:`RankCache` stores whole certificates
 for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
@@ -308,9 +301,9 @@ class SparseMatrix:
         self.nrows = nrows
         self.ncols = ncols
         # a candidate symmetry (row map, column map, column signs), trusted by
-        # nobody: the modular engine checks it before use (_orbit_weights)
+        # nobody: the modular engine checks it before use (_orbit_representatives)
         self.mirror = None
-        # candidate redundant rows, left out of the modular blocks (_rank_mod_p)
+        # candidate redundant rows, left out of the modular blocks (_reference)
         self.spare = None
         if _raw is None:
             triplets = list(triplets)
@@ -588,35 +581,27 @@ def _eliminate(rows: np.ndarray, cols: list[int], es: np.ndarray, p: int) -> Non
         _update(t, t[:, cols], es, p)
 
 
-def _block_rank(block: np.ndarray, p: int, reduced: bool = False) -> np.ndarray:
-    """Pivot column of each row of one component's block (-1 for a row without one), every
-    panel eliminated: each panel is put in reduced echelon form, then eliminated from the
-    rows below.  With ``reduced`` the pivot rows are gathered in block[:rank] and each panel
-    is eliminated from the pivot rows above too, which leaves block[:rank] in reduced
-    echelon form."""
-    piv, rank = np.full(block.shape[0], -1, dtype=np.int64), 0
+def _block_rank(block: np.ndarray, p: int, target: int) -> np.ndarray:
+    """Pivot column of each row of one component's block (-1 for a row without one), each
+    panel put in reduced echelon form, then eliminated from the rows below, its pivot rows
+    gathered in block[:rank] as it goes.  A block left with fewer than ``target`` pivots is
+    then reduced by one backward sweep: each panel's pivot rows, the last panel's first,
+    cleared from the pivot rows above them."""
+    piv, panels, rank = np.full(block.shape[0], -1, dtype=np.int64), [], 0
     for i0 in range(0, block.shape[0], _PANEL):
         r, cols = _jordan(block[i0:i0 + _PANEL], p)
-        top = i0  # where the panel's pivot rows sit
-        if reduced:  # gather them, then clear their columns above
-            top = rank
-            block[top:top + r] = block[i0:i0 + r]
-            _eliminate(block[:top], cols, _split(block[top:top + r]), p)
-        piv[top:top + r] = cols
-        rank += r
+        block[rank:rank + r], piv[rank:rank + r] = block[i0:i0 + r], cols
+        panels.append((r, cols))
         # named so that it lives through the next panel: freed at once, it made the
         # later _split calls 40 % slower on one large component (the allocator)
-        es = _split(block[top:top + r])
+        es = _split(block[rank:rank + r])
         _eliminate(block[i0 + _PANEL:], cols, es, p)
+        rank += r
+    if rank < target:
+        for r, cols in reversed(panels):
+            rank -= r
+            _eliminate(block[:rank], cols, _split(block[rank:rank + r]), p)
     return piv
-
-
-def _pivots(stack: np.ndarray, p: int, reduced: bool = False) -> np.ndarray:
-    """Pivot column of each row of every block of a stack from _stacks (-1 for none): the
-    small blocks together by _jordan_base, a big one alone by _block_rank."""
-    if stack.shape[1] <= _BASE:
-        return _jordan_base(stack, p)
-    return _block_rank(stack[0], p, reduced)[None]
 
 
 @dataclass(frozen=True)
@@ -634,13 +619,11 @@ class _Layout:
     w: np.ndarray  # block columns per component
 
 
-def _layout(rows: np.ndarray, cols: np.ndarray, comp: np.ndarray, select: np.ndarray | None = None) -> _Layout:
+def _layout(rows: np.ndarray, cols: np.ndarray, comp: np.ndarray, select: np.ndarray) -> _Layout:
     """Blocks of the components labelled ``comp`` (see _components) built from the
     triplets at (rows, cols); raises ResourceLimitError before any allocation when one
-    block that ``select`` keeps (a mask over the labels; all by default) and its
-    workspace would exceed _DENSE_BYTES."""
-    if select is None:
-        select = np.ones(int(comp.max()) + 1, dtype=bool)
+    block that ``select`` keeps (a mask over the labels) and its workspace would exceed
+    _DENSE_BYTES."""
     lr, nr = _local_index(rows, comp, select.size)
     lc, nc = _local_index(cols, comp, select.size)
     h, w = np.minimum(nr, nc), np.maximum(nr, nc)
@@ -653,16 +636,12 @@ def _layout(rows: np.ndarray, cols: np.ndarray, comp: np.ndarray, select: np.nda
     return _Layout(comp, np.where(flip, lc, lr), np.where(flip, lr, lc), h, w)
 
 
-def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray | None = None):
-    """Yield (components, stack) for the selected components (all by default): small
-    blocks stacked by shape, each block of more than _BASE rows alone.  Every stack
-    lives in one reused buffer, so it is valid only until the next one is yielded."""
-    comp, li, lj, h, w = lay.comp, lay.li, lay.lj, lay.h, lay.w
-    present = np.arange(h.size)
-    if select is not None:
-        keep = select[comp]
-        comp, li, lj, values = comp[keep], li[keep], lj[keep], values[keep]
-        present = np.flatnonzero(select)
+def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray):
+    """Yield (components, stack) for the selected components: small blocks stacked by
+    shape, each block of more than _BASE rows alone.  Every stack lives in one reused
+    buffer, so it is valid only until the next one is yielded."""
+    keep, h, w, present = select[lay.comp], lay.h, lay.w, np.flatnonzero(select)
+    comp, li, lj, values = lay.comp[keep], lay.li[keep], lay.lj[keep], values[keep]
     if not comp.size:
         return
     ckey = np.where(h > _BASE, np.arange(h.size) - h.size, h * (int(w.max()) + 1) + w)
@@ -679,20 +658,11 @@ def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray | None = None):
         yield batch, stack
 
 
-def _balanced(vals: np.ndarray, p: int) -> np.ndarray:
-    """Residues in [0, p) as float64 balanced residues."""
-    return (vals - p * (vals > p // 2)).astype(np.float64)
-
-
-def _orbit_weights(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndarray) -> np.ndarray | None:
-    """How often each component's rank counts under the matrix's candidate ``mirror``:
-    1 for a component it fixes, 2 for the first and 0 for the second of two it swaps.
-
-    ``vals`` holds each triplet's residue in [0, p), zeros kept.  Used only after an
-    exact check that the candidate (row map pi, column map tau, column signs eps) is an
-    involution and that the triplets mod p, relabelled (pi r, tau c, eps_c v), are the
-    same triplets; then the map is an automorphism of the matrix mod p, and blocks it
-    swaps have equal rank.  None when there is no candidate or the check fails."""
+def _orbit_representatives(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndarray) -> np.ndarray | None:
+    """The component whose rank each component takes under the matrix's candidate
+    ``mirror``: itself when the mirror fixes it, the first of two it swaps; None when
+    there is no candidate or it fails the exact check of the module docstring, run on
+    ``vals``, each triplet's residue in [0, p), zeros kept."""
     if matrix.mirror is None:
         return None
     pi, tau, eps = (np.asarray(a) for a in matrix.mirror)
@@ -709,31 +679,74 @@ def _orbit_weights(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndar
     # the relabelling is injective, so meeting every key once makes it a bijection
     if not (np.array_equal(key[match], image) and np.array_equal(vals[match], np.where(eps[cols] < 0, -vals % p, vals))):
         return None
-    ids = np.arange(int(comp.max()) + 1)
-    swap = np.empty(ids.size, dtype=np.int64)
+    swap = np.empty(int(comp.max()) + 1, dtype=np.int64)
     swap[comp] = comp[match]
-    return np.where(swap == ids, 1, np.where(ids < swap, 2, 0))
+    return np.minimum(swap, np.arange(swap.size))
 
 
-def _rank_mod_p(matrix: SparseMatrix, p: int, comp: np.ndarray) -> int:
-    """A lower bound on the rank mod p that reaches it when the candidate ``spare`` rows
-    are redundant.  ``comp`` labels the components of the exact pattern (_components),
-    whose blocks keep the entries that vanish mod p as zeros: the mirror is checked on
-    the full pattern, then every block it selects is eliminated to completion without
-    the spare rows."""
-    rows, cols, vals = matrix.rows, matrix.cols, matrix.residues(p)
-    weight = _orbit_weights(matrix, vals, p, comp)
-    if weight is None:
-        weight = np.ones(int(comp.max()) + 1, dtype=np.int64)
-    select = weight > 0
-    spare = np.asarray(matrix.spare)
-    if spare.dtype == bool and spare.shape == (matrix.nrows,):
-        keep = ~spare[rows]
-        rows, cols, vals, comp = rows[keep], cols[keep], vals[keep], comp[keep]
-    total = 0
-    for batch, stack in _stacks(_layout(rows, cols, comp, select), _balanced(vals, p), select):
-        total += int(weight[batch] @ np.count_nonzero(_pivots(stack, p) >= 0, axis=1))
-    return total
+def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: np.ndarray):
+    """The one modular pass: each selected block eliminated once mod p, ``residues`` holding
+    each triplet's value in [0, p).  ``frame`` = (h, w) gives each component's full block, no
+    smaller than its block here; a block with fewer than h pivots is short, and only a short
+    one is put in reduced echelon form.  Returns each component's rank (0 unless selected),
+    and among the full blocks' columns side by side (offsets cumsum(w) - w) the short blocks'
+    pivot mask and kernel vectors mod p, as entries (column, slot, residue) sorted by column,
+    then slot: slot k holds the vector of the block's k-th free column, 1 there and minus that
+    column of the reduced echelon form at the pivot columns (so it depends on the pivot set)."""
+    h, w = frame
+    offset = np.cumsum(w) - w
+    rank, pivot = np.zeros(h.size, dtype=np.int64), np.zeros(int(w.sum()), dtype=bool)
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for batch, stack in _stacks(lay, (residues - p * (residues > p // 2)).astype(np.float64), select):
+        # small blocks together by Gauss-Jordan, a big one alone panel by panel
+        piv = _jordan_base(stack, p) if stack.shape[1] <= _BASE else _block_rank(stack[0], p, int(h[batch[0]]))[None]
+        rank[batch] = np.count_nonzero(piv >= 0, axis=1)
+        short = rank[batch] < h[batch]
+        if not short.any():
+            continue
+        b, i = np.nonzero((piv >= 0) & short[:, None])  # the pivot rows of the short blocks
+        start = offset[batch]
+        pivot[start[b] + piv[b, i]] = True
+        free = np.repeat(short[:, None], stack.shape[2], axis=1)
+        free[b, piv[b, i]] = False
+        slot = np.cumsum(free, axis=1) - 1
+        fb, fc = np.nonzero(free)
+        t, f = np.nonzero(free[b])  # each pivot row's entries at the free columns
+        found.append([np.concatenate((start[fb] + fc, start[b[t]] + piv[b[t], i[t]])),
+                      np.concatenate((slot[fb, fc], slot[b[t], f])),
+                      np.concatenate((np.ones(fb.size, dtype=np.int64), (-stack[b[t], i[t], f]).astype(np.int64) % p))])
+    col, slot, val = np.concatenate(found, axis=1)
+    order = np.lexsort((slot, col))
+    return rank, pivot, (col[order], slot[order], val[order])
+
+
+def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
+    """The one elimination at the reference prime p: the mirror checked on the full
+    pattern, then each block it selects eliminated once without the spare rows (see the
+    module docstring); ``comp`` labels the components of the exact pattern.  Returns
+    (rank, short, kept, trial, pivot, vectors): each component's rank mod p (a skipped one
+    takes its partner's); the short ones, below their full block's rows; those eliminated
+    as their full block minus some rows, where the kernel certificate starts, and of these
+    the ones that lost rows; with ``certify``, the short blocks' pivots and vectors
+    (_echelons) among the full blocks' columns, else nothing."""
+    vals, ncomp = matrix.residues(p), int(comp.max()) + 1
+    rep = _orbit_representatives(matrix, vals, p, comp)
+    if rep is None:
+        rep = np.arange(ncomp)
+    select = rep == np.arange(ncomp)
+    node = np.full(matrix.nrows + matrix.ncols, ncomp)  # the component of each row, then column
+    node[matrix.rows], node[matrix.nrows + matrix.cols] = comp, comp
+    nr, nc = (np.bincount(part, minlength=ncomp + 1)[:ncomp] for part in np.split(node, [matrix.nrows]))
+    h, w = np.minimum(nr, nc), np.maximum(nr, nc)  # each component's full block
+    keep = np.asarray(matrix.spare)  # the triplets of the rows not spare (all if the mask is malformed)
+    keep = ~keep[matrix.rows] if keep.dtype == bool and keep.shape == (matrix.nrows,) else slice(None)
+    lay = _layout(matrix.rows[keep], matrix.cols[keep], comp[keep], select)
+    rank, pivot, vectors = _echelons(lay, vals[keep], p, (h * certify, w), select)
+    rank = rank[rep]
+    # dropping rows keeps a block's width, and then leaves the full block minus those
+    # rows, or narrows it (a flipped block's width is its row count)
+    kept = select & (rank < h) & (lay.w == w)
+    return rank, rank < h, kept, kept & (lay.h < h), pivot, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -750,38 +763,6 @@ def _lift_primes(given: Sequence[int]):
     for p in range(2**31 - 1, 2, -2):
         if p not in seen and is_prime(p):
             yield p
-
-
-def _echelons(lay: _Layout, residues: np.ndarray, p: int, select: np.ndarray | None = None):
-    """The reduced echelon forms mod p of the selected blocks (all by default), their columns
-    laid side by side at the offsets cumsum(lay.w) - lay.w; ``residues`` holds each triplet's
-    value in [0, p).  Returns each component's pivot count (0 unless selected), the mask of
-    the pivot columns, and the kernel vectors mod p of every block short of full row rank as
-    entries (column, slot, residue) sorted by column, then slot: slot k holds the vector of
-    the block's k-th free column, 1 there and minus that column of the reduced echelon form
-    at the pivot columns (so they depend on the pivot set, not on the order found)."""
-    offset = np.cumsum(lay.w) - lay.w
-    rank = np.zeros(lay.h.size, dtype=np.int64)
-    pivot = np.zeros(int(lay.w.sum()), dtype=bool)
-    found = [np.zeros((3, 0), dtype=np.int64)]
-    for batch, stack in _stacks(lay, _balanced(residues, p), select):
-        piv = _pivots(stack, p, reduced=True)
-        b, i = np.nonzero(piv >= 0)  # the pivot rows
-        rank[batch] = np.bincount(b, minlength=batch.size)
-        start = offset[batch]
-        pivot[start[b] + piv[b, i]] = True
-        free = np.ones((batch.size, stack.shape[2]), dtype=bool)
-        free[b, piv[b, i]] = False
-        free &= (rank[batch] < lay.h[batch])[:, None]
-        slot = np.cumsum(free, axis=1) - 1
-        fb, fc = np.nonzero(free)
-        t, f = np.nonzero(free[b])  # each pivot row's entries at the free columns
-        found.append([np.concatenate((start[fb] + fc, start[b[t]] + piv[b[t], i[t]])),
-                      np.concatenate((slot[fb, fc], slot[b[t], f])),
-                      np.concatenate((np.ones(fb.size, dtype=np.int64), (-stack[b[t], i[t], f]).astype(np.int64) % p))])
-    col, slot, val = np.concatenate(found, axis=1)
-    order = np.lexsort((slot, col))
-    return rank, pivot, (col[order], slot[order], val[order])
 
 
 def _ratrecon(u: int, m: int, bound: int) -> int | None:
@@ -868,46 +849,56 @@ def _hadamard_log2(lay: _Layout, matrix: SparseMatrix) -> np.ndarray:
 
 
 def _kernel_certificate(matrix: SparseMatrix, comp: np.ndarray, bound: int | None,
-                        primes: list[int]) -> RankCertificate | None:
+                        primes: list[int], start: tuple) -> RankCertificate | None:
     """Rank certified by kernel vectors verified over Z, primes drawn from
     _lift_primes(primes); None only if the guard below fires.
 
     ``comp`` labels the components of the exact pattern (_components), so an entry that
-    vanishes mod p stays in its block as a zero.  Each block short of full row rank mod
-    its reference prime (at first primes[0]) gets one kernel vector per free column of
-    its reduced echelon form (see _echelons), lifted by rational reconstruction and
-    checked against the block's exact triplets; all such blocks together, so a round
-    is one _lift and one _annihilates.  A block whose vectors fail meets the next prime p under one rule: a larger rank, or the same rank
-    with a lexicographically earlier pivot set, makes p its reference (modulus p); the
-    same rank and set joins p's residues by CRT; anything else skips p for the block.
+    vanishes mod p stays in its block as a zero; ``start`` is what _reference left at
+    primes[0].  Only the short components' full blocks are laid out and budgeted: no other
+    block is eliminated here.  Each block short of full row rank mod its reference prime
+    (at first primes[0]) gets one kernel vector per free column of its reduced echelon
+    form (see _echelons), lifted by rational reconstruction and checked against the
+    block's exact triplets; all such blocks together, so a round is one _lift and one
+    _annihilates.  A block whose vectors fail meets the next prime p under one rule: a
+    larger rank, or the same rank with a lexicographically earlier pivot set, makes p its
+    reference (modulus p); the same rank and set joins p's residues by CRT; anything else
+    skips p for the block.
+
+    A block starts from its projected block when that is its full block minus some rows:
+    rows of the full rank mod p span the same row space, so give the same vectors; rows of
+    a lower rank r' give w - r' > w - rank_Q independent vectors, which cannot all pass.  A
+    failed trial start (one that lost rows) and every other short block (skipped by the
+    mirror, or narrowed) is eliminated on its full rows at primes[0] before a later prime.
 
     The guard -- a modulus past 2 H^2, H the block's Hadamard bound, while its vectors
-    still fail (H from _hadamard_log2) -- cannot fire.  Mod p each leading range of columns has at most its
-    rational rank, so a prime shows at most the rational rank r and, at rank r, an
-    i-th pivot column no earlier than the rational one: the rational (rank, pivot set)
-    is the best.  A prime showing less divides a nonzero minor (every r x r one, or
+    still fail (H from _hadamard_log2) -- cannot fire; a failed trial start meets it only
+    once its full rows are eliminated.  Mod p each leading range of columns has at most
+    its rational rank, so a prime shows at most the rational rank r and, at rank r, an
+    i-th pivot column no earlier than the rational one: the rational (rank, pivot set) is
+    the best.  A prime showing less divides a nonzero minor (every r x r one, or
     every k x k one of the columns up to the k-th rational pivot, the first it misses),
-    so the primes of one such outcome multiply to at most H: an unlucky reference and
-    its CRT partners have a modulus of at most H, and after finitely many primes a
-    lucky one becomes the reference for good.  Its reduced echelon form, and each partner's, is
-    the rational one mod p, whose kernel vectors are minors over a common minor, at
-    most H; reconstruction finds them once the modulus passes 2 H^2.
+    so the primes of one such outcome multiply to at most H: an unlucky reference and its
+    CRT partners have a modulus of at most H, and after finitely many primes a lucky one
+    becomes the reference for good.  Its reduced echelon form, and each partner's, is the
+    rational one mod p, whose kernel vectors are minors over a common minor, at most H;
+    reconstruction finds them once the modulus passes 2 H^2.
 
     A rank sum above ``bound`` proves the bound invalid and raises.  The certificate's
     primes are those consulted, in order.
     """
-    lay, vals = _layout(matrix.rows, matrix.cols, comp), matrix.vals
+    rank, pending, fresh, trial, pivot, (col, slot, res) = start
+    lay, vals = _layout(matrix.rows, matrix.cols, comp, pending), matrix.vals
     hadamard = _hadamard_log2(lay, matrix)
     gen = _lift_primes(primes)
     used = [next(gen)]
-    rank, pivot, (col, slot, res) = _echelons(lay, matrix.residues(used[0]), used[0])
     ncomp = lay.h.size
     owner, howner = np.repeat(np.arange(ncomp), lay.w), np.repeat(np.arange(ncomp), lay.h)
     # each triplet's row and column among the blocks laid side by side
     brow, bcol = (np.cumsum(lay.h) - lay.h)[lay.comp] + lay.li, (np.cumsum(lay.w) - lay.w)[lay.comp] + lay.lj
     modulus = np.full(ncomp, used[0], dtype=object)
-    pending = fresh = rank < lay.h
-    vectors = 0
+    none, vectors = np.zeros(ncomp, dtype=bool), 0
+    p, elim = used[0], pending & ~fresh  # to eliminate on full rows at primes[0], with failed trials
     while True:
         total = _within(int(rank.sum()), bound)
         entry = owner[col]  # the component of each kernel vector entry
@@ -921,21 +912,25 @@ def _kernel_certificate(matrix: SparseMatrix, comp: np.ndarray, bound: int | Non
             done = check & (np.bincount(howner[bad], minlength=ncomp) == 0)
             vectors += int((lay.w - rank)[done].sum())
             pending = pending & ~done
-            over = fresh & ~done
+            over = fresh & ~done & ~trial
             if any(log2(m) > 2 * h + 1 for m, h in zip(modulus[over].tolist(), hadamard[over].tolist())):
                 return None
-        if not pending.any():
-            return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
-        p = next(gen)
-        used.append(p)
-        later, pivots, (column, place, new) = _echelons(lay, matrix.residues(p), p, pending)
+            elim, trial = elim | (fresh & ~done & trial), none
+        if not elim.any():
+            if not pending.any():
+                return RankCertificate(total, "kernel-verified", tuple(used), True, True, bound, vectors)
+            p, elim = next(gen), pending
+            used.append(p)
+        if p == used[0]:  # again, on full rows: the rank they show replaces the start's
+            rank[elim] = -1
+        later, pivots, (column, place, new) = _echelons(lay, matrix.residues(p), p, (lay.h, lay.w), elim)
         # a block's first column in one pivot set but not the other decides which set is earlier
-        differ = np.flatnonzero((pivots != pivot) & pending[owner])
+        differ = np.flatnonzero((pivots != pivot) & elim[owner])
         blocks, first = np.unique(owner[differ], return_index=True)
         earlier, moved = np.zeros(ncomp, dtype=bool), np.zeros(ncomp, dtype=bool)
         earlier[blocks], moved[blocks] = pivots[differ[first]], True
-        better = pending & ((later > rank) | ((later == rank) & earlier))
-        same = pending & (later == rank) & ~moved
+        better = elim & ((later > rank) | ((later == rank) & earlier))
+        same = elim & (later == rank) & ~moved
         if same.any():
             live = np.flatnonzero(same[entry])  # the same entries as same[owner[column]], in order
             inv = np.zeros(ncomp, dtype=np.int64)
@@ -952,7 +947,7 @@ def _kernel_certificate(matrix: SparseMatrix, comp: np.ndarray, bound: int | Non
             order = np.lexsort((slot, col))
             col, slot, res = col[order], slot[order], res[order]
             pending = pending & (rank < lay.h)
-        fresh = (same | better) & pending
+        fresh, elim = (same | better) & pending, none
 
 
 # ---------------------------------------------------------------------------
@@ -1007,14 +1002,15 @@ def rank(
         raise InvalidInputError("the automatic rank needs at least one prime")
     given = [fieldspec.p] if fieldspec is not None else [PrimeField(p).p for p in primes]
     comp = _components(matrix.rows, matrix.cols, matrix.nrows)
-    value = _within(_rank_mod_p(matrix, given[0], comp) if comp.size else 0, structural_bound)
+    start = _reference(matrix, given[0], comp, fieldspec is None) if comp.size else None
+    value = _within(int(start[0].sum()) if comp.size else 0, structural_bound)
     exact = value >= min(matrix.shape + (() if structural_bound is None else (structural_bound,)))
     cert = RankCertificate(value, "single-prime", (given[0],), True, exact, structural_bound)
     if fieldspec is not None or exact:
         return cert
     if not comp.size:  # no entry, so every vector is in the kernel
         return RankCertificate(0, "kernel-verified", cert.primes, True, True, structural_bound)
-    return _kernel_certificate(matrix, comp, structural_bound, given) or cert
+    return _kernel_certificate(matrix, comp, structural_bound, given, start) or cert
 
 
 def annihilates(matrix: SparseMatrix, vectors: Sequence[Sequence[int]]) -> bool:

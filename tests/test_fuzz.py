@@ -6,7 +6,10 @@ its true rank comes from the plain rational elimination of the oracle
 module.  A case puts 1 to 5 such blocks side by side on shuffled rows and
 columns, draws 1 to 3 primes and a bound (none, a valid one, or in 15 % of
 the cases a false one, below the true rank), and may attach a lying
-``spare`` mask or ``mirror`` candidate.  The invariants:
+``spare`` mask or ``mirror`` candidate.  Two more draws carry honest hints:
+spare rows that are integer combinations of the others, which must leave
+the certificate as it is without them, and a block beside its mirror image,
+one value of which may then be changed.  The invariants:
 
 - with no bound or a valid one, the rank is certified exact and true;
 - a false bound raises InvalidInputError or returns a rank no larger than
@@ -69,16 +72,20 @@ def lie(rng, matrix):
         matrix.mirror = (involution(rng, matrix.nrows), tau, np.where(tau < np.arange(matrix.ncols), eps[tau], eps))
 
 
+def draw_bound(rng, true, shape):
+    """None, a valid bound, or in 15 % of the cases one below the true rank."""
+    if true and rng.random() < 0.15:
+        return rng.randrange(true)
+    return rng.choice((None, rng.randint(true, min(shape))))
+
+
 def draw_case(rng, blocks):
     """(matrix, true rank, primes, bound) of one case of ``blocks`` blocks."""
     parts = [draw(rng) for _ in range(blocks)]
     true = sum(gauss_rank_rational(dense) for _, _, dense in parts)
     matrix = SparseMatrix(*block_diagonal(parts, rng))
     primes = rng.sample(PRIMES, rng.randint(1, 3))
-    if true and rng.random() < 0.15:
-        bound = rng.randrange(true)
-    else:
-        bound = rng.choice((None, rng.randint(true, min(matrix.shape))))
+    bound = draw_bound(rng, true, matrix.shape)
     lie(rng, matrix)
     return matrix, true, primes, bound
 
@@ -113,6 +120,82 @@ def test_block_diagonal_fuzz():
 
 def from_dense(dense):
     return SparseMatrix(len(dense), len(dense[0]), [(i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row) if v])
+
+
+def outcome(matrix, primes, bound):
+    """The automatic certificate as JSON, or the name of the exception it raised."""
+    try:
+        return rank(matrix, None, structural_bound=bound, primes=primes).to_json()
+    except InvalidInputError as exc:
+        return type(exc).__name__
+
+
+def with_redundant_rows(rng, matrix):
+    """The matrix with 1 to 4 rows put in among its own, each an integer combination of
+    1 to 3 of them, and marked ``spare``: an honest mask."""
+    dense = matrix.to_dense_rows()
+    extra = []
+    for _ in range(rng.randint(1, 4)):
+        picks = rng.sample(range(len(dense)), min(len(dense), rng.randint(1, 3)))
+        coef = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in picks]
+        extra.append([sum(c * dense[i][j] for c, i in zip(coef, picks)) for j in range(matrix.ncols)])
+    order = rng.sample(range(len(dense) + len(extra)), len(dense) + len(extra))
+    out = from_dense([(dense + extra)[k] for k in order])
+    out.spare = np.array([k >= len(dense) for k in order])
+    return out
+
+
+def test_honest_spare_rows_change_no_certificate():
+    # the kernel certificate starts from the blocks without the spare rows, whose
+    # reduced echelon forms are those of the full blocks: the same certificate
+    rng = random.Random(20261021)
+    for _ in range(150):
+        matrix, true, primes, bound = draw_case(rng, rng.randint(1, 4))
+        matrix = with_redundant_rows(rng, from_dense(matrix.to_dense_rows()))
+        check(matrix, true, primes, bound)
+        with_mask = outcome(matrix, primes, bound)
+        matrix.spare = None
+        assert with_mask == outcome(matrix, primes, bound), (matrix.to_dense_rows(), primes, bound)
+
+
+def mirrored(rng):
+    """(matrix, true rank, primes, bound): a drawn block beside its image under a mirror
+    that the matrix carries (rows i <-> i + n, columns j <-> j + m, column signs equal on
+    each pair).  In half of the cases one nonzero value of the first copy, whose rank its
+    image takes, is then changed: the pattern keeps the symmetry, the values do not."""
+    n, m, dense = draw(rng)
+    dense = [row or [0] * m for row in dense]  # a rank-0 draw has empty rows
+    eps = [rng.choice((1, -1)) for _ in range(m)]
+    full = [row + [0] * m for row in dense] + [[0] * m + [e * v for e, v in zip(eps, row)] for row in dense]
+    spots = [(i, j) for i in range(n) for j in range(m) if dense[i][j]]
+    if spots and rng.random() < 0.5:
+        i, j = rng.choice(spots)
+        full[i][j] = rng.choice([v for v in range(-9, 10) if v not in (0, full[i][j])])
+    matrix = from_dense(full)
+    matrix.mirror = (np.r_[n:2 * n, 0:n], np.r_[m:2 * m, 0:m], np.array(eps + eps))
+    true = gauss_rank_rational(full)
+    return matrix, true, rng.sample(PRIMES, rng.randint(1, 3)), draw_bound(rng, true, matrix.shape)
+
+
+def test_mirror_fuzz():
+    rng = random.Random(20261022)
+    for _ in range(300):
+        check(*mirrored(rng))
+
+
+def test_projected_start_cases():
+    # a spare row that is no combination of the other: the block without it has full
+    # row rank, yet its vector must be checked against the full block and, failing,
+    # the full rows eliminated with no guard; rank 2, kernel-verified
+    lying = from_dense([[1, 1], [0, 1]])
+    lying.spare = np.array([False, True])
+    # a spare row that narrows a 3x2 block, whose full block is its transpose, to 2x2:
+    # that block's vector (-1, 1), read in the columns of the full block, would pass
+    narrowed = from_dense([[1, 1], [1, 1], [1, 0]])
+    narrowed.spare = np.array([False, False, True])
+    for matrix in (lying, narrowed):
+        cert = rank(matrix, None)
+        assert cert.mode == "kernel-verified" and cert.rank == 2, matrix.to_dense_rows()
 
 
 def test_fuzz_found_cases():

@@ -494,36 +494,47 @@ def labels(matrix):
     return _components(matrix.rows, matrix.cols, matrix.nrows)
 
 
-def full_rank(matrix, p):
-    """The engine's rank with the matrix's mirror candidate and spare rows taken away:
-    every full block eliminated."""
-    from koszul.linalg import _rank_mod_p
+def projected_rank(matrix, p):
+    """The engine's rank mod p with the matrix's mirror candidate and spare rows: the
+    blocks the mirror selects eliminated without the spare rows."""
+    from koszul.linalg import rank
 
+    return rank(matrix, PrimeField(p)).rank
+
+
+def full_rank(matrix, p):
+    """The engine's rank mod p with the matrix's mirror candidate and spare rows taken
+    away: every full block eliminated."""
     hints, matrix.mirror, matrix.spare = (matrix.mirror, matrix.spare), None, None
     try:
-        return _rank_mod_p(matrix, p, labels(matrix))
+        return projected_rank(matrix, p)
     finally:
         matrix.mirror, matrix.spare = hints
 
 
 def full_layout(matrix, p):
-    """The engine's components of the matrix's full pattern, and their blocks."""
+    """The engine's components of the matrix's full pattern, and their blocks (none budgeted)."""
+    import numpy as np
+
     from koszul.linalg import _layout
 
-    return _layout(matrix.rows, matrix.cols, labels(matrix))
+    comp = labels(matrix)
+    return _layout(matrix.rows, matrix.cols, comp, np.zeros(int(comp.max()) + 1, dtype=bool))
 
 
 def orbit_weights(matrix, p):
-    """The engine's per-component weights for the matrix's mirror candidate (None: refused)."""
-    from koszul.linalg import _orbit_weights
+    """How many components take each component's rank under the matrix's mirror candidate
+    (None: refused)."""
+    import numpy as np
 
-    return _orbit_weights(matrix, matrix.residues(p), p, labels(matrix))
+    from koszul.linalg import _orbit_representatives
+
+    rep = _orbit_representatives(matrix, matrix.residues(p), p, labels(matrix))
+    return None if rep is None else np.bincount(rep, minlength=rep.size)
 
 
 @pytest.mark.parametrize("p, n_max", [(DEFAULT_PRIMES[0], 8), (DEFAULT_PRIMES[1], 7), (DEFAULT_PRIMES[2], 7), (65537, 7)])
 def test_weyman_mirrored_ranks_match_full_elimination(p, n_max):
-    from koszul.linalg import _rank_mod_p
-
     # every degree q <= n-3 of n = 4..n_max, except n = 8, q = 5 (see
     # test_weyman_mirror_eliminates_half_the_blocks): larger cases cost
     # seconds each
@@ -535,7 +546,7 @@ def test_weyman_mirrored_ranks_match_full_elimination(p, n_max):
             weights = orbit_weights(matrix, p)
             assert weights is not None and 2 in weights.tolist(), (n, q)
             expected = im_delta2_dim(n, q) - hilbert_bound(n, q)
-            assert _rank_mod_p(matrix, p, labels(matrix)) == full_rank(matrix, p) == expected, (n, q)
+            assert projected_rank(matrix, p) == full_rank(matrix, p) == expected, (n, q)
 
 
 def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
@@ -645,8 +656,6 @@ def test_spare_rows_one_per_monomial():
 
 @pytest.mark.parametrize("p", DEFAULT_PRIMES + (65537, 3))
 def test_projected_ranks_match_full_elimination(p):
-    from koszul.linalg import _rank_mod_p
-
     # (K, dim W_q): Weyman's K and random borderline K attain the bound, the hyperplane K has q + 1
     cases = [(weyman_K(n), hilbert_bound) for n in range(4, 8)]
     cases += [(random_K(n, 2 * n - 3, seed), hilbert_bound) for n, seed in ((5, 1), (6, 2))]
@@ -656,7 +665,7 @@ def test_projected_ranks_match_full_elimination(p):
         for q in range(n - 2):
             matrix = restricted_delta2(K, q)
             expected = im_delta2_dim(n, q) - dim(n, q)
-            projected = _rank_mod_p(matrix, p, labels(matrix))
+            projected = projected_rank(matrix, p)
             assert projected == full_rank(matrix, p), (n, q)
             # mod 3 the rank of Weyman's and the random K falls below the rational rank
             assert projected == expected if p != 3 else projected <= expected, (n, q)
@@ -687,6 +696,8 @@ def test_lying_spare_cannot_change_certified_dim(monkeypatch):
 
 
 def test_budget_is_checked_on_projected_blocks(monkeypatch):
+    import numpy as np
+
     import koszul.linalg as linalg
     from koszul.errors import ResourceLimitError
 
@@ -712,3 +723,49 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     with pytest.raises(ResourceLimitError):
         linalg.rank(matrix, PrimeField(p))
     assert calls == []
+    # a 2x2 all-ones block beside it, the spare mask kept: the big block is of full
+    # rank, so only the small one goes to the kernel certificate, which lays out and
+    # budgets no other full block
+    n, m = matrix.shape
+    ones = [(n, m, 1), (n, m + 1, 1), (n + 1, m, 1), (n + 1, m + 1, 1)]
+    both = linalg.SparseMatrix.from_arrays(n + 2, m + 2, np.r_[matrix.rows, [t[0] for t in ones]],
+                                           np.r_[matrix.cols, [t[1] for t in ones]], np.r_[matrix.vals, [1] * 4])
+    both.spare = np.r_[matrix.spare, [False, False]]
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
+    cert = linalg.rank(both, None)
+    assert cert.mode == "kernel-verified" and cert.rank == 505 and cert.verified_vectors == 1
+    assert calls == [(504, 504)]
+    calls.clear()
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError):
+        linalg.rank(both, None)
+    assert calls == []
+
+
+def test_one_elimination_per_block_at_the_reference_prime(monkeypatch):
+    from collections import Counter
+
+    import koszul.linalg as linalg
+
+    # every block of the hyperplane K is short of its rows, so each goes to the kernel
+    # certificate; it starts from the pass at the first prime, which eliminated it once
+    K, q = hyperplane_K(6), 3
+    primes, seen = [], Counter()
+    residues, stacks = linalg.SparseMatrix.residues, linalg._stacks
+
+    def noting(matrix, p):
+        primes.append(p)
+        return residues(matrix, p)
+
+    def counting(*args):
+        for batch, stack in stacks(*args):
+            seen.update((primes[-1], c) for c in batch.tolist())
+            yield batch, stack
+
+    monkeypatch.setattr(linalg.SparseMatrix, "residues", noting)
+    monkeypatch.setattr(linalg, "_stacks", counting)
+    res = w_dim(K, q)
+    assert res.dim == q + 1 and res.certificate.mode == "kernel-verified"
+    first = [c for p, c in seen if p == DEFAULT_PRIMES[0]]
+    assert len(first) == int(labels(restricted_delta2(K, q)).max()) + 1
+    assert max(seen.values()) == 1

@@ -707,9 +707,9 @@ def test_every_given_prime_is_a_reference(monkeypatch):
     references = []
     kernel = linalg._kernel_certificate
 
-    def counted(matrix, comp, bound, primes):
+    def counted(matrix, comp, bound, primes, start):
         references.append(primes[0])
-        return kernel(matrix, comp, bound, primes)
+        return kernel(matrix, comp, bound, primes, start)
 
     monkeypatch.setattr(linalg, "_kernel_certificate", counted)
     cert = rank(m, None, primes=(7, 11, 7, 11))
