@@ -45,7 +45,8 @@ sum, and the rint(x/p)*p that reduces it, is an integer below
     (2^30 + 1) * (1 + 3 * k * 2^14) + 2^30  <  2^53     for k <= 170,
 
 exact in float64 for every prime PrimeField accepts.  A component whose
-block and workspace exceed _DENSE_BYTES raises ResourceLimitError first.
+block (once peeled, see below) and workspace exceed _DENSE_BYTES raises
+ResourceLimitError first.
 
 A matrix may carry a candidate symmetry ``mirror`` = (row map pi, column
 map tau, column signs eps); :func:`koszul.hilbert.restricted_delta2` sets
@@ -70,6 +71,25 @@ counts 2 rank(S A_C) <= rank(A_C) + rank(A_C'), so every result is still a
 certified lower bound.  When the spare rows really are redundant, rank(S A)
 = rank(A), and as no block can gain rank, each keeps its own.  No upper
 bound rests on the mask (see _kernel_certificate).
+
+Before the dense engine, the pass peels each selected component whose full
+block has more than _BASE rows (_peel).  An entry with a nonzero residue a
+that is alone in its column among the live entries is a structural pivot:
+column operations against that column clear the rest of its row and touch
+no other row, leaving a beside the block without that row and column, so
+the rank drops by exactly one, mod p as over Q.  An entry alone in its row
+is the transposed case.  A residue 0 is never a pivot, but its entry counts
+among the live ones.  A round takes at most one column pivot per row and
+one row pivot per column, so its pivots share no row or column and each
+stays alone while the others go.  Rounds stop when one takes nothing, or
+after _PEEL_ROUNDS of them, since a chain gives up only two pivots a round.
+A partial peel is still exact: a component's rank is its pivots plus the
+rank mod p of what is left, and _DENSE_BYTES is checked on what is left.
+Each pivot narrows a block, so, like a block the projection narrowed, a
+peeled one is no start of the kernel certificate: its echelon form is that
+of what is left, not of its full block.  A short one is eliminated again
+on its full rows.  Smaller blocks are stacked many to a call and are not
+peeled, so each keeps its start.
 
 No rank function reads a cache.  :class:`RankCache` stores whole certificates
 for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
@@ -98,6 +118,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # mod-p engine tuning (see the module docstring for the exactness bound)
 _PANEL = 128                # pivot rows per update; the bound allows up to 170
 _BASE = 8                   # recursion leaves, eliminated one row at a time
+_PEEL_ROUNDS = 64           # rounds of structural pivots per pass (the workloads need 38)
 _DENSE_BYTES = 400_000_000  # one component's float64 block plus its workspace
 
 
@@ -658,6 +679,31 @@ def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray):
         yield batch, stack
 
 
+def _peel(rows: np.ndarray, cols: np.ndarray, residues: np.ndarray, comp: np.ndarray,
+          keep: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """Structural pivots among the triplets ``keep`` marks in the components ``big`` marks
+    (see the module docstring), at most _PEEL_ROUNDS rounds: drops from ``keep`` the
+    triplets in their rows and columns, and returns the pivots taken in each component.
+    A round takes each nonzero residue alone in its column (one per row) or alone in its
+    row (one per column)."""
+    taken, at = np.zeros(big.size, dtype=np.int64), np.flatnonzero(keep & big[comp])
+    for _ in range(_PEEL_ROUNDS if at.size else 0):
+        r, c = rows[at], cols[at]
+        nr, nc, nonzero = np.bincount(r), np.bincount(c), residues[at] != 0
+        by_col, by_row = np.flatnonzero(nonzero & (nc[c] == 1)), np.flatnonzero(nonzero & (nr[r] == 1))
+        piv = np.union1d(by_col[np.unique(r[by_col], return_index=True)[1]],
+                         by_row[np.unique(c[by_row], return_index=True)[1]])
+        if not piv.size:
+            break
+        taken += np.bincount(comp[at[piv]], minlength=big.size)
+        dead_r, dead_c = np.zeros(nr.size, dtype=bool), np.zeros(nc.size, dtype=bool)
+        dead_r[r[piv]], dead_c[c[piv]] = True, True
+        gone = dead_r[r] | dead_c[c]
+        keep[at[gone]] = False
+        at = at[~gone]
+    return taken
+
+
 def _orbit_representatives(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndarray) -> np.ndarray | None:
     """The component whose rank each component takes under the matrix's candidate
     ``mirror``: itself when the mirror fixes it, the first of two it swaps; None when
@@ -722,12 +768,13 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
 
 def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
     """The one elimination at the reference prime p: the mirror checked on the full
-    pattern, then each block it selects eliminated once without the spare rows (see the
-    module docstring); ``comp`` labels the components of the exact pattern.  Returns
-    (rank, short, kept, trial, pivot, vectors): each component's rank mod p (a skipped one
-    takes its partner's); the short ones, below their full block's rows; those eliminated
-    as their full block minus some rows, where the kernel certificate starts, and of these
-    the ones that lost rows; with ``certify``, the short blocks' pivots and vectors
+    pattern, then each block it selects eliminated once without the spare rows, a block of
+    more than _BASE rows once peeled (see the module docstring); ``comp`` labels the
+    components of the exact pattern.  Returns (rank, short, kept, trial, pivot, vectors):
+    each component's rank mod p, its structural pivots included (a skipped one takes its
+    partner's); the short ones, below their full block's rows; those eliminated unpeeled as
+    their full block minus some rows, where the kernel certificate starts, and of these the
+    ones that lost rows; with ``certify``, the short unpeeled blocks' pivots and vectors
     (_echelons) among the full blocks' columns, else nothing."""
     vals, ncomp = matrix.residues(p), int(comp.max()) + 1
     rep = _orbit_representatives(matrix, vals, p, comp)
@@ -739,12 +786,14 @@ def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
     nr, nc = (np.bincount(part, minlength=ncomp + 1)[:ncomp] for part in np.split(node, [matrix.nrows]))
     h, w = np.minimum(nr, nc), np.maximum(nr, nc)  # each component's full block
     keep = np.asarray(matrix.spare)  # the triplets of the rows not spare (all if the mask is malformed)
-    keep = ~keep[matrix.rows] if keep.dtype == bool and keep.shape == (matrix.nrows,) else slice(None)
+    keep = ~keep[matrix.rows] if keep.dtype == bool and keep.shape == (matrix.nrows,) else np.ones(comp.size, dtype=bool)
+    taken = _peel(matrix.rows, matrix.cols, vals, comp, keep, select & (h > _BASE))
     lay = _layout(matrix.rows[keep], matrix.cols[keep], comp[keep], select)
-    rank, pivot, vectors = _echelons(lay, vals[keep], p, (h * certify, w), select)
-    rank = rank[rep]
+    # a peeled block is never a start, so it needs neither the sweep nor vectors
+    rank, pivot, vectors = _echelons(lay, vals[keep], p, (h * (certify & (taken == 0)), w), select)
+    rank = (rank + taken)[rep]
     # dropping rows keeps a block's width, and then leaves the full block minus those
-    # rows, or narrows it (a flipped block's width is its row count)
+    # rows, or narrows it (a flipped block's width is its row count); a pivot narrows it
     kept = select & (rank < h) & (lay.w == w)
     return rank, rank < h, kept, kept & (lay.h < h), pivot, vectors
 

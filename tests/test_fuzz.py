@@ -9,13 +9,17 @@ the cases a false one, below the true rank), and may attach a lying
 ``spare`` mask or ``mirror`` candidate.  Two more draws carry honest hints:
 spare rows that are integer combinations of the others, which must leave
 the certificate as it is without them, and a block beside its mirror image,
-one value of which may then be changed.  The invariants:
+one value of which may then be changed.  A last draw plants single-entry
+rows and columns, some of them multiples of 7 or 11, around blocks of more
+than _BASE rows, which the pass at the first prime peels (structural
+pivots) before the dense engine.  The invariants:
 
 - with no bound or a valid one, the rank is certified exact and true;
 - a false bound raises InvalidInputError or returns a rank no larger than
   the bound (a modular rank that reaches a false bound is trusted by
   design);
-- nothing raises anything else.
+- nothing raises anything else;
+- in the last draw, the rank mod each drawn prime is the oracle's.
 
 The CLI half corrupts a ``--k-file`` and the lines of a rank cache: every
 run exits 0, 1 or 2, a failure prints one JSON object on stderr and no
@@ -27,10 +31,10 @@ import random
 
 import numpy as np
 
-from _oracles import block_diagonal, gauss_rank_rational
+from _oracles import block_diagonal, gauss_rank_mod_p, gauss_rank_rational
 from koszul.cli import main
 from koszul.errors import InvalidInputError
-from koszul.linalg import DEFAULT_PRIMES, SparseMatrix, rank
+from koszul.linalg import _BASE, DEFAULT_PRIMES, PrimeField, SparseMatrix, rank
 
 PRIMES = (7, 11, 13, 65537, 2**31 - 1)
 
@@ -181,6 +185,46 @@ def test_mirror_fuzz():
     rng = random.Random(20261022)
     for _ in range(300):
         check(*mirrored(rng))
+
+
+def peelable(rng):
+    """(nrows, ncols, dense): a product B C of more than _BASE rows and columns and of
+    rank 1 to 9, so often short of its rows, with 1 to 5 tails planted on it.  A tail
+    hangs new rows and columns off one of the block's columns (or rows) in a chain of 1
+    to 4 links, so that its last column (row) holds one entry; the peel takes it in as
+    many rounds as the chain has links.  Some planted values are multiples of 7 or 11."""
+    n, m, r = rng.randint(_BASE + 1, 12), rng.randint(_BASE + 1, 12), rng.randint(1, 9)
+    b = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)] for _ in range(n)]
+    c = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(m)] for _ in range(r)]
+    entries = {(i, j): sum(x * y for x, y in zip(row, col)) for i, row in enumerate(b) for j, col in enumerate(zip(*c))}
+    shape = [n, m]
+    for _ in range(rng.randint(1, 5)):
+        down = rng.random() < 0.5  # the tail ends in a column singleton, else in a row singleton
+        at = rng.randrange(shape[1] if down else shape[0])
+        for _ in range(rng.randint(1, 4)):
+            i, j = shape  # the link's new row and column
+            for spot in ((i, at) if down else (at, j), (i, j)):
+                entries[spot] = rng.choice((1, -1, 2, -3)) * rng.choice((1, 1, 7, 11))
+            at, shape = j if down else i, [i + 1, j + 1]
+    dense = [[entries.get((i, j), 0) for j in range(shape[1])] for i in range(shape[0])]
+    return shape[0], shape[1], dense
+
+
+def test_peel_fuzz():
+    # blocks the pass at the first prime peels before the dense engine; a pivot taken on
+    # a zero residue leaves the rank a lower bound over Q, so the rank mod each drawn
+    # prime is checked too, before any hint is attached
+    rng = random.Random(20261023)
+    for _ in range(200):
+        parts = [peelable(rng) for _ in range(rng.randint(1, 2))]
+        true = sum(gauss_rank_rational(dense) for _, _, dense in parts)
+        matrix = SparseMatrix(*block_diagonal(parts, rng))
+        primes = rng.sample(PRIMES, rng.randint(1, 3))
+        for p in primes:
+            modular = sum(gauss_rank_mod_p(dense, p) for _, _, dense in parts)
+            assert rank(matrix, PrimeField(p)).rank == modular, (matrix.to_dense_rows(), p)
+        lie(rng, matrix)
+        check(matrix, true, primes, draw_bound(rng, true, matrix.shape))
 
 
 def test_projected_start_cases():

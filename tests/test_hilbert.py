@@ -702,7 +702,8 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     from koszul.errors import ResourceLimitError
 
     p = DEFAULT_PRIMES[0]
-    matrix = restricted_delta2(random_K(6, 9, 2), 3)  # one 756x504 component, 504x504 projected
+    # one 756x504 component, 504x504 projected, 468x468 once 36 structural pivots are taken
+    matrix = restricted_delta2(random_K(6, 9, 2), 3)
     assert full_layout(matrix, p).h.size == 1
     calls = []
     inner = linalg._block_rank
@@ -712,12 +713,12 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
         return inner(block, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_block_rank", counting)
-    need = 8 * 504 * (504 + 6 * linalg._PANEL)  # the projected block and its workspace
+    need = 8 * 468 * (468 + 6 * linalg._PANEL)  # the peeled projected block and its workspace
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     with pytest.raises(ResourceLimitError):
         full_rank(matrix, p)
     assert calls == []
-    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(504, 504)]
+    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(468, 468)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
     with pytest.raises(ResourceLimitError):
@@ -734,7 +735,7 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     cert = linalg.rank(both, None)
     assert cert.mode == "kernel-verified" and cert.rank == 505 and cert.verified_vectors == 1
-    assert calls == [(504, 504)]
+    assert calls == [(468, 468)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
     with pytest.raises(ResourceLimitError):
@@ -769,3 +770,61 @@ def test_one_elimination_per_block_at_the_reference_prime(monkeypatch):
     first = [c for p, c in seen if p == DEFAULT_PRIMES[0]]
     assert len(first) == int(labels(restricted_delta2(K, q)).max()) + 1
     assert max(seen.values()) == 1
+
+
+def noting_pivots(monkeypatch):
+    """The structural pivots each _peel call takes, in a list that grows as they are taken."""
+    import koszul.linalg as linalg
+
+    pivots, peel = [], linalg._peel
+
+    def noting(*args):
+        taken = peel(*args)
+        pivots.append(int(taken.sum()))
+        return taken
+
+    monkeypatch.setattr(linalg, "_peel", noting)
+    return pivots
+
+
+def test_peeled_ranks_match_unpeeled_elimination(monkeypatch):
+    import koszul.linalg as linalg
+
+    # Weyman's K at n = 8 has 7, 14, 35, 175 and 189 among its coefficients, so mod 7
+    # some entries alone in their row or column vanish, and are no pivots
+    pivots = noting_pivots(monkeypatch)
+    for n in range(6, 9):
+        K = weyman_K(n)
+        for q in range(n - 2):
+            matrix = restricted_delta2(K, q)
+            for p in (7, DEFAULT_PRIMES[0]):
+                del pivots[:]
+                peeled = projected_rank(matrix, p)
+                assert pivots[0] > 0 or full_layout(matrix, p).h.max() <= linalg._BASE, (n, q, p)
+                with monkeypatch.context() as bypass:
+                    bypass.setattr(linalg, "_PEEL_ROUNDS", 0)
+                    assert peeled == full_rank(matrix, p), (n, q, p)
+    assert (restricted_delta2(weyman_K(8), 5).residues(7) == 0).any()
+    # every block of the hyperplane K has at most _BASE rows, so none is peeled
+    K, q = hyperplane_K(6), 3
+    assert full_layout(restricted_delta2(K, q), DEFAULT_PRIMES[0]).h.max() <= linalg._BASE
+    del pivots[:]
+    assert w_dim(K, q).dim == q + 1 and pivots and not any(pivots)
+
+
+def test_peeled_blocks_get_no_sweep(monkeypatch):
+    import koszul.linalg as linalg
+
+    # every block of Weyman's K at n = 8, q = 5 is of full rank; a peeled one is no
+    # start of the kernel certificate, so it gets no target, hence no backward sweep
+    pivots, sweeps, inner = noting_pivots(monkeypatch), [], linalg._block_rank
+
+    def noting(block, p, target):
+        piv = inner(block, p, target)
+        sweeps.append(int((piv >= 0).sum()) < target)
+        return piv
+
+    monkeypatch.setattr(linalg, "_block_rank", noting)
+    res = w_dim(weyman_K(8), 5)
+    assert res.dim == 0 and res.certificate.mode == "single-prime"
+    assert sum(pivots) > 0 and sweeps and not any(sweeps)

@@ -269,27 +269,88 @@ def test_modular_rank_many_components():
     assert rank(SparseMatrix(nrows, ncols, triplets), PrimeField(p)).rank == expected
 
 
-def test_over_budget_component_fails_fast():
+def arrow(n, heads):
+    """The n x n 0/1 matrix whose first ``heads`` rows and columns are full."""
+    rest = np.arange(heads, n)
+    rows = np.concatenate([np.full(n, k) for k in range(heads)] + [rest] * heads)
+    cols = np.concatenate([np.arange(n)] * heads + [np.full(n - heads, k) for k in range(heads)])
+    return SparseMatrix.from_arrays(n, n, rows, cols, np.ones(rows.size, dtype=np.int64))
+
+
+def chain(diagonal, above):
+    """The upper bidiagonal matrix with ``diagonal`` on the diagonal and ``above`` just above it."""
+    i = np.arange(len(diagonal))
+    return SparseMatrix.from_arrays(i.size, i.size, np.r_[i, i[:-1]], np.r_[i, i[1:]],
+                                    np.r_[diagonal, above].astype(np.int64))
+
+
+def timed_rank(matrix):
+    """(the rank certificate mod DEFAULT_PRIMES[0], or the ResourceLimitError it raised,
+    seconds, tracemalloc peak in bytes)."""
     import tracemalloc
 
-    # arrow: one full row and one full column make a single n x n component
-    # with 2n - 1 nonzeros, whose dense block would need over 3 GB
-    n = 20_000
-    idx = np.arange(1, n)
-    rows = np.concatenate(([0], np.zeros(n - 1, dtype=np.int64), idx))
-    cols = np.concatenate(([0], idx, np.zeros(n - 1, dtype=np.int64)))
-    m = SparseMatrix.from_arrays(n, n, rows, cols, np.ones(2 * n - 1, dtype=np.int64))
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ResourceLimitError):
-            rank(m, PrimeField(DEFAULT_PRIMES[0]))
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
+        try:
+            out = rank(matrix, PrimeField(DEFAULT_PRIMES[0]))
+        except ResourceLimitError as exc:
+            out = exc
+        return out, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 1.0
-    assert peak < 50 * 2**20
+
+
+def test_over_budget_component_fails_fast():
+    # arrow: one full row and one full column make a single n x n component with
+    # 2n - 1 nonzeros; two structural pivots take all of it, so no block is built
+    out, seconds, peak = timed_rank(arrow(20_000, 1))
+    assert isinstance(out, RankCertificate) and out.rank == 2
+    assert seconds < 1.0 and peak < 50 * 2**20
+    # two full rows and two full columns leave no entry alone in its row or column,
+    # and the dense block would need over 3 GB
+    out, seconds, peak = timed_rank(arrow(20_000, 2))
+    assert isinstance(out, ResourceLimitError)
+    assert seconds < 1.0 and peak < 50 * 2**20
+
+
+def test_peeling_is_bounded():
+    # a chain peels two pivots a round, one from each end: without a round cap that
+    # takes time quadratic in n, and under it the rest is over the budget at once
+    n = 20_000
+    out, seconds, _ = timed_rank(chain(np.ones(n), np.ones(n - 1)))
+    assert isinstance(out, ResourceLimitError) or out.rank == n
+    assert seconds < 1.0
+
+
+def test_partial_peel_is_exact(monkeypatch):
+    import koszul.linalg as linalg
+
+    # a chain 40 longer than two pivots a round for _PEEL_ROUNDS rounds: the peel
+    # stops at the cap and the dense engine takes the middle, where some diagonal
+    # entries are multiples of 7
+    rng, cap = random.Random(19), linalg._PEEL_ROUNDS
+    assert cap <= 256  # the oracle below takes the chain as a dense list of lists
+    n = 2 * cap + 40
+    diagonal = [rng.choice((1, -2, 3, 5) if min(i, n - 1 - i) < cap else (1, 7, -14, 3, 49)) for i in range(n)]
+    matrix = chain(diagonal, [rng.choice((1, -1, 2, 7)) for _ in range(n - 1)])
+    dense = matrix.to_dense_rows()
+    pivots, peel = [], linalg._peel
+
+    def noting(*args):
+        taken = peel(*args)
+        pivots.append(int(taken.sum()))
+        return taken
+
+    monkeypatch.setattr(linalg, "_peel", noting)
+    for p in (7, DEFAULT_PRIMES[0]):
+        assert rank(matrix, PrimeField(p)).rank == gauss_rank_mod_p(dense, p), p
+        assert pivots[-1] == 2 * cap
+    assert gauss_rank_mod_p(dense, 7) < n
+    # mod 7 the peeled block is short: the kernel certificate eliminates it again on
+    # its full rows, and the next prime shows it of full rank
+    cert = rank(matrix, None, primes=[7])
+    assert cert.rank == n and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
 
 
 def test_modular_rank_is_lower_bound():
