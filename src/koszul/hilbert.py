@@ -176,7 +176,7 @@ def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
 
     Column (s, a) is the image of the s-th basis vector of K times the
     degree-q monomial of rank a; entries are integers for every canonical
-    subspace (the integer-scaled basis is used).
+    subspace (its one basis, ``int_basis``, is integral).
 
     When the index reversal e_i -> e_{n-1-i} maps each integer basis vector
     k_s of a rational K to eps_s k_s' (eps_s = +-1), as it does for Weyman's

@@ -103,7 +103,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log2
+from math import isqrt, log2
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -433,61 +433,6 @@ def bareiss_rank(dense: list[list[int]]) -> int:
         prev = piv
         r += 1
     return r
-
-
-def rref(dense: Sequence[Sequence], fieldspec: FieldSpec) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over Q (Fractions) or F_p.
-
-    Returns (nonzero rows, pivot columns).  Dense input; meant for the
-    modest sizes that arise from subspace bases and dual pairings.
-    """
-    if isinstance(fieldspec, PrimeField):
-        p = fieldspec.p
-        a = [[int(v) % p for v in row] for row in dense]
-    else:
-        a = [[Fraction(v) for v in row] for row in dense]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv_row is None:
-            continue
-        a[r], a[piv_row] = a[piv_row], a[r]
-        if isinstance(fieldspec, PrimeField):
-            inv = pow(a[r][c], fieldspec.p - 2, fieldspec.p)
-            a[r] = [v * inv % fieldspec.p for v in a[r]]
-        else:
-            inv = 1 / a[r][c]
-            a[r] = [v * inv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                if isinstance(fieldspec, PrimeField):
-                    a[i] = [(v - f * w) % fieldspec.p for v, w in zip(a[i], a[r])]
-                else:
-                    a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def integer_scaled(vector: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to integers with content 1, leading entry > 0."""
-    denoms = lcm(*(Fraction(v).denominator for v in vector)) if len(vector) else 1
-    ints = [int(Fraction(v) * denoms) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
 
 A :class:`SubspaceK` is a subspace of ``Wedge^2 V`` given by coefficient
 vectors on the pair basis ``e_i ^ e_j`` (colex order).  Instances are
-always canonical: the stored basis is the reduced row echelon form over
-the coefficient field, so ``effective_m`` equals the number of stored
-rows and equality of subspaces is equality of bases.  An integer-scaled
-copy of the basis is kept alongside so that every derived matrix has
-integer entries.
+always canonical: the one stored basis, ``int_basis``, is the reduced row
+echelon form over the coefficient field (over Q each row scaled to integers
+with content 1 and a positive pivot), so ``effective_m`` equals the number of
+stored rows and equality of subspaces is equality of bases.  It comes from
+fraction-free Gauss-Jordan elimination (_echelon): pivot[c]*row - row[c]*pivot
+clears column c, then the row is divided by its content (over F_p reduced,
+each pivot scaled to 1).  Each row stays, up to its content, the one vector of
+its inputs' span vanishing at the pivot columns cleared so far, so its entries
+are bounded by minors (Cramer's rule).  A K whose m dense rows of C(n,2)
+cells, 8 bytes a cell, exceed the engine's _DENSE_BYTES is refused before
+any row is built.
 
 The named constructions are the standard test-bed subspaces: the two
 extremes, the borderline (2n-3)-dimensional subspace realized by the
@@ -20,19 +26,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
+from . import linalg
 from .bases import pair_rank, pair_unrank
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import (
-    FieldSpec,
-    PrimeField,
-    Rational,
-    field_from_json,
-    integer_scaled,
-    json_int,
-    rref,
-)
+from .linalg import FieldSpec, PrimeField, Rational, field_from_json, json_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -67,19 +66,18 @@ class SubspaceK:
 
     n: int
     field: FieldSpec
-    basis: tuple[tuple, ...]  # RREF rows over the field
-    int_basis: tuple[tuple[int, ...], ...]  # integer-scaled rows, same span
+    int_basis: tuple[tuple[int, ...], ...]  # canonical integer rows (see the module docstring)
 
     @property
     def effective_m(self) -> int:
-        return len(self.basis)
+        return len(self.int_basis)
 
     @property
     def pair_count(self) -> int:
         return comb(self.n, 2)
 
     def pivot_columns(self) -> list[int]:
-        return [next(j for j, v in enumerate(row) if v != 0) for row in self.basis]
+        return [next(j for j, v in enumerate(row) if v != 0) for row in self.int_basis]
 
     def to_json(self) -> dict:
         vectors = []
@@ -96,12 +94,11 @@ class SubspaceK:
     def from_json(data: dict) -> "SubspaceK":
         try:
             n = json_int(data["n"], "n")
-            if n < 2:
-                raise InvalidInputError(f"need n >= 2, got n={n}")
             fieldspec = field_from_json(data["field"])
+            _check_size(n, len(data["basis"]))
             rows = []
             for entries in data["basis"]:
-                row = [Fraction(0)] * comb(n, 2)
+                row = [0] * comb(n, 2)
                 for entry in entries:
                     pair = entry["pair"]
                     if not (isinstance(pair, list) and len(pair) == 2):
@@ -113,54 +110,108 @@ class SubspaceK:
                     den = json_int(entry.get("den", 1), "den")
                     if den == 0:
                         raise InvalidInputError("zero denominator")
-                    row[pair_rank(i, j)] += Fraction(num, den)
+                    if isinstance(fieldspec, PrimeField) and den % fieldspec.p == 0:
+                        raise InvalidInputError(f"denominator {den} is not invertible mod {fieldspec.p}")
+                    row[pair_rank(i, j)] += num if den == 1 else Fraction(num, den)
                 rows.append(row)
         except (KeyError, TypeError, AttributeError) as exc:
             raise InvalidInputError(f"malformed subspace JSON: {exc!r}") from exc
         return subspace_from_rows(n, rows, fieldspec)
 
 
-def subspace_from_rows(n: int, rows, fieldspec: FieldSpec = Rational()) -> SubspaceK:
-    """Canonicalize raw coefficient rows into a SubspaceK."""
+def _check_size(n: int, m: int) -> None:
+    """InvalidInputError unless n >= 2; ResourceLimitError when m dense rows of C(n,2)
+    cells, at 8 bytes a cell, would exceed the modular engine's _DENSE_BYTES."""
     if n < 2:
         raise InvalidInputError(f"need n >= 2, got n={n}")
+    need = 8 * m * comb(n, 2)
+    if need > linalg._DENSE_BYTES:
+        raise ResourceLimitError(f"{m} dense rows of C({n},2) cells need {need} bytes, "
+                                 f"over the budget of {linalg._DENSE_BYTES}")
+
+
+def subspace_from_rows(n: int, rows, fieldspec: FieldSpec = Rational()) -> SubspaceK:
+    """Canonicalize raw coefficient rows (integers or Fractions) into a SubspaceK."""
+    _check_size(n, len(rows))
     width = comb(n, 2)
     for row in rows:
         if len(row) != width:
             raise InvalidInputError(f"basis row of length {len(row)}, expected {width}")
-    echelon, _ = rref(list(rows), fieldspec)
-    if isinstance(fieldspec, PrimeField):
-        basis = tuple(tuple(int(v) for v in row) for row in echelon)
-        int_basis = basis
-    else:
-        basis = tuple(tuple(Fraction(v) for v in row) for row in echelon)
-        int_basis = tuple(tuple(integer_scaled(row)) for row in echelon)
-    return SubspaceK(n, fieldspec, basis, int_basis)
+    p = fieldspec.p if isinstance(fieldspec, PrimeField) else None
+    return SubspaceK(n, fieldspec, _echelon([_integral(row, p) for row in rows], p))
+
+
+def _integral(row, p: int | None) -> list[int]:
+    """The row as ints spanning the same line: over Q times the lcm of its
+    denominators, over F_p each value num/den as num * den^-1 mod p."""
+    if set(map(type, row)) == {int}:
+        return row
+    values = [Fraction(v) for v in row]
+    if p is None:
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values]
+    if any(v.denominator % p == 0 for v in values):
+        raise InvalidInputError(f"a denominator is not invertible mod {p}")
+    return [v.numerator * pow(v.denominator, -1, p) for v in values]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content, its first nonzero entry made positive."""
+    g = gcd(*row)
+    if g and next(filter(None, row)) < 0:
+        g = -g
+    return row if g in (0, 1) else [v // g for v in row]
+
+
+def _echelon(rows: list[list[int]], p: int | None) -> tuple[tuple[int, ...], ...]:
+    """The canonical integer basis of the span of some integer rows over Q (p None)
+    or F_p, by fraction-free Gauss-Jordan elimination (see the module docstring)."""
+    reduce = _primitive if p is None else (lambda row: [v % p for v in row])
+    a = [row for row in map(reduce, rows) if any(row)]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        if p is not None:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [v * inv % p for v in a[r]]
+        prow, pc = a[r], a[r][c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                a[i] = reduce([pc * x - f * y for x, y in zip(row, prow)])
+        r += 1
+    return tuple(map(tuple, a[:r]))
 
 
 def kperp_basis(subspace: SubspaceK) -> list[list[int]]:
     """Basis of the annihilator K-perp of K under the dual-basis pairing on Wedge^2,
-    read off K's reduced echelon basis: free column c gives the vector with 1 at c
-    and -basis[r][c] at the r-th pivot column.
+    read off K's canonical basis: free column c gives the vector with L at c and
+    -row[c] * L / row[pivot] at each row's pivot column, L the lcm of the pivots of
+    the rows with an entry at c (1 over F_p, where every pivot is 1).
 
-    Integer vectors with content 1 over Q (:func:`integer_scaled`), entries in
-    [0, p) over F_p; always C(n,2) - m of them, in the order of their free columns.
+    Integer vectors with content 1 and first nonzero entry positive over Q, entries
+    in [0, p) over F_p; always C(n,2) - m of them, in the order of their free columns.
     """
     pivots = subspace.pivot_columns()
     modulus = subspace.field.p if isinstance(subspace.field, PrimeField) else None
     out = []
     for c in sorted(set(range(subspace.pair_count)) - set(pivots)):
         vec = [0] * subspace.pair_count
-        vec[c] = 1
-        for row, pc in zip(subspace.basis, pivots):
-            vec[pc] = -row[c] % modulus if modulus else -row[c]
-        out.append(vec if modulus else integer_scaled(vec))
+        vec[c] = lcm(*(row[pc] for row, pc in zip(subspace.int_basis, pivots) if row[c]))
+        for row, pc in zip(subspace.int_basis, pivots):
+            vec[pc] = -row[c] * vec[c] // row[pc]
+        out.append([v % modulus for v in vec] if modulus else _primitive(vec))
     return out
 
 
 def canonicalize(subspace: SubspaceK) -> SubspaceK:
     """Idempotent re-canonicalization."""
-    return subspace_from_rows(subspace.n, [list(r) for r in subspace.basis], subspace.field)
+    return subspace_from_rows(subspace.n, [list(r) for r in subspace.int_basis], subspace.field)
 
 
 def zero_K(n: int, fieldspec: FieldSpec = Rational()) -> SubspaceK:
@@ -168,13 +219,9 @@ def zero_K(n: int, fieldspec: FieldSpec = Rational()) -> SubspaceK:
 
 
 def full_K(n: int, fieldspec: FieldSpec = Rational()) -> SubspaceK:
-    width = comb(n, 2)
-    rows = []
-    for r in range(width):
-        row = [0] * width
-        row[r] = 1
-        rows.append(row)
-    return subspace_from_rows(n, rows, fieldspec)
+    width = comb(max(n, 0), 2)
+    _check_size(n, width)
+    return subspace_from_rows(n, [[int(c == r) for c in range(width)] for r in range(width)], fieldspec)
 
 
 def _raise_derivation(vec: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -201,6 +248,7 @@ def weyman_K(n: int) -> SubspaceK:
     """
     if n < 3:
         raise InvalidInputError(f"need n >= 3, got n={n}")
+    _check_size(n, 2 * n - 3)
     rows = []
     for vec in weyman_orbit_vectors(n):
         row = [0] * comb(n, 2)
@@ -248,13 +296,9 @@ def heisenberg_K(k: int) -> SubspaceK:
         )
     n = 2 * k
     width = comb(n, 2)
+    _check_size(n, width - 1)
     sympl = {pair_rank(i, j) for i, j in heisenberg_pairs(k)}
-    rows = []
-    for idx in range(width):
-        if idx not in sympl:
-            row = [0] * width
-            row[idx] = 1
-            rows.append(row)
+    rows = [[int(c == idx) for c in range(width)] for idx in range(width) if idx not in sympl]
     ordered = [pair_rank(i, j) for i, j in heisenberg_pairs(k)]
     for t in range(k - 1):
         row = [0] * width
@@ -338,6 +382,7 @@ def from_cup_data(data: CupProductData) -> SubspaceK:
     those rows is the subspace, and its annihilator is the kernel of the
     cup product.
     """
+    _check_size(data.n, data.h2)
     width = comb(data.n, 2)
     table = {pair: vals for pair, vals in data.constants}
     rows = []
@@ -385,9 +430,10 @@ def random_K(n: int, m: int, seed: int, fieldspec: FieldSpec = Rational()) -> Su
     draw is repeated until the vectors are independent; exhausting 100
     attempts is reported as a resource failure.
     """
-    width = comb(n, 2)
+    width = comb(max(n, 0), 2)
     if not 0 <= m <= width:
         raise InvalidInputError(f"need 0 <= m <= C(n,2) = {width}, got m={m}")
+    _check_size(n, m)
     rng = SplitMix64(seed)
     for _ in range(100):
         if isinstance(fieldspec, PrimeField):

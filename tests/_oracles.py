@@ -54,41 +54,70 @@ def gauss_rank_mod_p(dense, p: int) -> int:
 
 
 def nullspace(matrix, fieldspec):
-    """Basis of the right nullspace of a SparseMatrix by plain Gauss-Jordan
-    elimination, one vector per free column (1 there, minus that column of the
-    reduced form at the pivot columns).  Over F_p the entries lie in [0, p);
-    over Q each vector is scaled to integers with content 1 and its first
-    nonzero entry positive."""
+    """Basis of the right nullspace of a SparseMatrix: the K-perp basis of
+    :func:`canonical_subspace` of its rows."""
+    return canonical_subspace(matrix.to_dense_rows(), fieldspec, matrix.ncols)[2]
+
+
+def rref(dense, fieldspec):
+    """Reduced row echelon form over Q (Fractions) or F_p (a value num/den read as
+    num * den^-1 mod p), by plain Gauss-Jordan elimination.  Returns (nonzero rows,
+    pivot columns)."""
     p = getattr(fieldspec, "p", None)
-    ncols = matrix.ncols
-    a = [[int(v) % p if p else Fraction(v) for v in row] for row in matrix.to_dense_rows()]
+    if p:
+        a = [[Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in row] for row in dense]
+    else:
+        a = [[Fraction(v) for v in row] for row in dense]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     pivots = []
+    r = 0
     for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
         a[r] = [v * inv % p if p else v * inv for v in a[r]]
-        for i in range(len(a)):
+        for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-    basis = []
-    for c in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
+        r += 1
+    return a[:r], pivots
+
+
+def integer_scaled(vector):
+    """A rational vector scaled to integers with content 1 and its first nonzero entry
+    positive."""
+    den = lcm(*(Fraction(v).denominator for v in vector))
+    ints = [int(Fraction(v) * den) for v in vector]
+    g = gcd(*ints)
+    if g and next(v for v in ints if v) < 0:
+        g = -g
+    return [v // g for v in ints] if g else ints
+
+
+def canonical_subspace(rows, fieldspec, width):
+    """(integer basis, pivot columns, K-perp basis) of the span of some rows of the
+    given width, read off the reduced echelon form: over Q each row and each K-perp
+    vector scaled by :func:`integer_scaled`, over F_p as they are (entries in [0, p)).
+    K-perp has one vector per free column c, 1 at c and minus column c of the reduced
+    form at the pivot columns."""
+    p = getattr(fieldspec, "p", None)
+    echelon, pivots = rref(rows, fieldspec)
+    kperp = []
+    for c in (c for c in range(width) if c not in pivots):
+        vec = [0] * width
         vec[c] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][c] % p if p else -a[r][c]
-        if not p:
-            den = lcm(*(Fraction(v).denominator for v in vec))
-            ints = [int(Fraction(v) * den) for v in vec]
-            g = gcd(*ints) * (-1 if next(v for v in ints if v) < 0 else 1)
-            vec = [v // g for v in ints]
-        basis.append(vec)
-    return basis
+        for row, pc in zip(echelon, pivots):
+            vec[pc] = -row[c] % p if p else -row[c]
+        kperp.append(vec if p else integer_scaled(vec))
+    basis = tuple(tuple(row) if p else tuple(integer_scaled(row)) for row in echelon)
+    return basis, pivots, kperp
 
 
 def block_diagonal(blocks, rng):

@@ -196,7 +196,7 @@ def test_criterion_6_structural_properties():
         small = random_K(n, rng.randint(1, 3), rng.randint(0, 10**9))
         extra = random_K(n, rng.randint(1, 3), rng.randint(0, 10**9))
         big = subspace_from_rows(
-            n, [list(r) for r in small.basis] + [list(r) for r in extra.basis]
+            n, [list(r) for r in small.int_basis] + [list(r) for r in extra.int_basis]
         )
         for q in range(3):
             assert w_dim(small, q).dim >= w_dim(big, q).dim

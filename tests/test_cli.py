@@ -131,6 +131,12 @@ def test_exit_code_invalid_input(capsys):
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "InvalidInputError"
+    # a negative n is checked before C(n,2) is computed
+    for source in (["--full", "-1"], ["--random", "-3", "1", "1"], ["--random", "-3", "0", "1"]):
+        code, out, err = run(capsys, ["hilbert", *source, "--q-max", "0"])
+        assert code == 2 and out == "" and "Traceback" not in err, source
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError", source
 
 
 def test_exit_code_usage(capsys):
@@ -139,7 +145,7 @@ def test_exit_code_usage(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_exit_code_resource(capsys):
+def test_exit_code_resource(tmp_path, capsys):
     # rational field forced with a tiny oracle cap: resource failure
     code, _, err = run(
         capsys,
@@ -151,6 +157,13 @@ def test_exit_code_resource(capsys):
     too_large = [["group", "--b1", "7141", "--format", fmt] for fmt in ("table", "json", "csv")]
     too_large += [["group", "--preset", "torelli", "--g", g] for g in ("40", "100")]
     too_large += [["group", "--preset", "kahler", "--q-x", "4000"]]
+    # a K whose m dense rows of C(n,2) cells exceed the dense budget fails before any
+    # row is built; --weyman 400 is 797 x 79,800 cells
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**6, "field": "rational", "basis": [[{"pair": [0, 1], "num": 1}]]}))
+    sources = [["--full", "3000"], ["--weyman", "3000"], ["--heisenberg", "2000"], ["--k-file", str(huge)],
+               ["--weyman", "400"]]
+    too_large += [["hilbert", *source, "--q-max", "0"] for source in sources]
     for argv in too_large:
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
@@ -160,6 +173,8 @@ def test_exit_code_resource(capsys):
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "ResourceLimitError", argv
     code, out, _ = run(capsys, ["group", "--b1", "7140", "--format", "json"])
     assert code == 0 and len(out.encode()) == 13417
+    code, out, _ = run(capsys, ["hilbert", "--weyman", "200", "--q-max", "0", "--format", "csv"])
+    assert code == 0 and out == "q,dim_Wq,bound,certified\n0,19503,19503,true\n"
 
 
 def test_determinism_across_threads(capsys):
@@ -274,6 +289,21 @@ def test_malformed_k_file_exits_2(tmp_path, capsys, data):
     path = tmp_path / "k.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run(capsys, ["hilbert", "--k-file", str(path), "--format", "csv"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
+
+
+def test_k_file_fraction_over_prime_field(tmp_path, capsys):
+    # over F_p a value num/den is num * den^-1 mod p (1/2 is 51 mod 101), and a
+    # denominator divisible by p is invalid input
+    results = []
+    for value in ({"num": 1, "den": 2}, {"num": 51}, {"num": 1, "den": 101}):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"n": 4, "field": {"prime": 101}, "basis": [[{"pair": [0, 1], **value}]]}))
+        results.append(run(capsys, ["hilbert", "--k-file", str(path), "--q-max", "0", "--format", "csv"]))
+    assert results[0] == results[1] == (0, "q,dim_Wq,bound,certified\n0,5,1,true\n", "")
+    code, out, err = results[2]
     assert code == 2 and out == "" and "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"

@@ -232,7 +232,7 @@ def test_monotone_under_inclusion():
         n = 4 + seed % 2
         small = random_K(n, 3, seed + 20)
         extra = random_K(n, 2, seed + 120)
-        big = subspace_from_rows(n, [list(r) for r in small.basis] + [list(r) for r in extra.basis])
+        big = subspace_from_rows(n, [list(r) for r in small.int_basis] + [list(r) for r in extra.int_basis])
         for q in range(3):
             assert w_dim(small, q).dim >= w_dim(big, q).dim
 

@@ -54,10 +54,10 @@ def test_canonicalize_preserves_span():
     # original rows must reduce to zero against the canonical basis
     for row in rows:
         vec = [Fraction(v) for v in row]
-        for brow in K.basis:
+        for brow in K.int_basis:
             piv = next(j for j, x in enumerate(brow) if x != 0)
             if vec[piv]:
-                f = vec[piv]
+                f = vec[piv] / brow[piv]
                 vec = [a - f * b for a, b in zip(vec, brow)]
         assert all(v == 0 for v in vec)
 
@@ -198,7 +198,7 @@ def test_random_K_deterministic():
 def test_random_K_prime_field():
     K = random_K(4, 3, 11, PrimeField(101))
     assert K.effective_m == 3
-    assert all(0 <= v < 101 for row in K.basis for v in row)
+    assert all(0 <= v < 101 for row in K.int_basis for v in row)
 
 
 def test_random_K_bad_m():
@@ -229,8 +229,8 @@ def test_json_field_spec():
 
 def test_cup_data_dual_to_kperp():
     # the annihilator of the cup subspace spans the kernel of the cup map
-    from _oracles import nullspace
-    from koszul.linalg import Rational, SparseMatrix, rref
+    from _oracles import nullspace, rref
+    from koszul.linalg import Rational, SparseMatrix
     from koszul.resonance import kperp_basis
 
     data = heisenberg_cup_data(2)
@@ -264,3 +264,91 @@ def test_canonicalize_pairing_check():
     for phi in kperp_basis(K):
         for row in rows:
             assert sum(a * b for a, b in zip(row, phi)) == 0
+
+
+def _random_rows(rng, kind, n, m, p):
+    """m rows of width C(n,2), drawn as ``kind`` says; ``p`` is the field's prime (7
+    over Q)."""
+    width = comb(n, 2)
+    draw = {
+        "dense": lambda: rng.randint(-9, 9),
+        "sparse": lambda: rng.randint(-5, 5) if rng.random() < 0.2 else 0,
+        "multiple": lambda: p * rng.randint(-3, 3) if rng.random() < 0.6 else rng.randint(-3, 3),
+        "huge": lambda: 10**30 + rng.randint(-9, 9) if rng.random() < 0.5 else rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 9, 12])),
+    }[kind if kind != "duplicate" else "dense"]
+    rows = [[draw() for _ in range(width)] for _ in range(m)]
+    if kind == "duplicate" and rows:
+        rows += [list(rows[0]), [a + b for a, b in zip(rows[0], rows[-1])]]
+    return rows
+
+
+def test_canonical_basis_matches_oracle(monkeypatch):
+    # the integer basis, pivot columns and K-perp basis of each K equal those read off
+    # the plain Fraction (or mod p) reduced echelon form of the rows it was built from
+    import random
+
+    import koszul.subspaces as subspaces
+    from _oracles import canonical_subspace
+    from koszul.bases import pair_rank
+    from koszul.resonance import kperp_basis
+
+    given = []
+    inner = subspaces.subspace_from_rows
+
+    def recording(n, rows, fieldspec=Rational()):
+        given.append((n, [list(row) for row in rows], fieldspec))
+        return inner(n, rows, fieldspec)
+
+    monkeypatch.setattr(subspaces, "subspace_from_rows", recording)
+    build = subspaces.subspace_from_rows
+    fields = [Rational(), PrimeField(7), PrimeField(101), PrimeField(2**31 - 1)]
+    built = [from_cup_data(heisenberg_cup_data(k)) for k in (2, 3)] + [heisenberg_K(k) for k in (2, 3)]
+    built += [weyman_K(n) for n in range(3, 11)]
+    rng = random.Random(20201)
+    for fieldspec in fields:
+        p = getattr(fieldspec, "p", 7)
+        built += [zero_K(n, fieldspec) for n in (2, 4)] + [full_K(n, fieldspec) for n in (2, 4, 5)]
+        for n in range(3, 11):
+            orbit = [[vec.get((i, j), 0) for j in range(n) for i in range(j)] for vec in weyman_orbit_vectors(n)]
+            built.append(build(n, orbit, fieldspec))
+        for n in (4, 6):
+            identity = [[int(i == j) for i in range(comb(n, 2))] for j in range(comb(n, 2))]
+            built.append(build(n, identity[:pair_rank(0, 1)] + identity[pair_rank(0, 1) + 1:], fieldspec))
+        kinds = ["dense", "sparse", "duplicate", "multiple", "huge", "fraction"]
+        for t in range(66):
+            n = rng.randint(2, 6)
+            rows = _random_rows(rng, kinds[t % 6], n, rng.randint(0, comb(n, 2) + 1), p)
+            built.append(build(n, rows, fieldspec))
+    assert len(built) == len(given) >= 300
+    for K, (n, rows, fieldspec) in zip(built, given):
+        basis, pivots, kperp = canonical_subspace(rows, fieldspec, comb(n, 2))
+        assert K.int_basis == basis and K.effective_m == len(basis), (n, rows, fieldspec)
+        assert K.pivot_columns() == pivots
+        assert kperp_basis(K) == kperp
+    assert any(row[pc] > 1 for K in built if K.field == Rational() for row, pc in zip(K.int_basis, K.pivot_columns()))
+    with pytest.raises(InvalidInputError):
+        inner(3, [[Fraction(1, 14), 1, 0]], PrimeField(7))
+
+
+def test_constructors_refuse_oversized_K(monkeypatch):
+    # each constructor checks 8 * m * C(n,2) against the dense budget before building a row
+    import koszul.linalg as linalg
+    from koszul.errors import ResourceLimitError
+
+    data = heisenberg_cup_data(2)
+    constructors = [
+        (6 * 6, lambda: full_K(4)),
+        (7 * 10, lambda: weyman_K(5)),
+        (14 * 15, lambda: heisenberg_K(3)),
+        (3 * 10, lambda: random_K(5, 3, 1)),
+        (data.h2 * 6, lambda: from_cup_data(data)),
+        (2 * 6, lambda: subspace_from_rows(4, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])),
+        (1 * 6, lambda: SubspaceK.from_json({"n": 4, "field": "rational", "basis": [[{"pair": [0, 1], "num": 1}]]})),
+    ]
+    for cells, make in constructors:
+        monkeypatch.setattr(linalg, "_DENSE_BYTES", 8 * cells)
+        make()
+        monkeypatch.setattr(linalg, "_DENSE_BYTES", 8 * cells - 1)
+        with pytest.raises(ResourceLimitError):
+            make()
