@@ -27,12 +27,14 @@ so e.g. delta_2(e_i ^ e_j (x) f) = e_j (x) x_i f - e_i (x) x_j f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 import numpy as np
 
+from . import linalg
 from .bases import multiply_rank_table, pair_rank, pair_unrank, reverse_rank_table, sym_dim, triple_unrank
-from .errors import InvalidInputError, KoszulError
+from .errors import InvalidInputError, KoszulError, ResourceLimitError
 from .linalg import (
     DEFAULT_ORACLE_CAP,
     DEFAULT_PRIMES,
@@ -141,34 +143,50 @@ def divisorial_defect(n: int, m: int, q: int) -> int:
     return im_delta2_dim(n, q) - m * sym_dim(n, q)
 
 
-def _reversal(subspace: SubspaceK, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of each pair e_i ^ e_j, i < j, at its colex rank i + C(j, 2)."""
+    j = np.repeat(np.arange(n), np.arange(n))
+    return np.arange(j.size) - j * (j - 1) // 2, j
+
+
+def _entries(subspace: SubspaceK) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of K's integer basis in row order: (basis vector, pair rank,
+    value), the values Python ints in an object array."""
+    width = comb(subspace.n, 2)
+    cells = np.fromiter(chain.from_iterable(subspace.int_basis), dtype=object, count=subspace.effective_m * width)
+    at = np.flatnonzero(cells)
+    return (*np.divmod(at, width), cells[at])
+
+
+def _reversal(subspace: SubspaceK, q: int, entries: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The index reversal e_i -> e_{n-1-i} on the rows and columns of the restricted
-    matrix, when it maps every integer basis vector of a rational K to +- another
-    one (checked exactly): (row map, column map, column signs), else None."""
+    matrix, when it maps every integer basis vector of a rational K, given by its
+    ``entries`` (_entries), to +- another one (checked exactly): (row map, column map,
+    column signs), else None."""
     if not isinstance(subspace.field, Rational):
         return None
-    n = subspace.n
+    n, (s, t, vals) = subspace.n, entries
     # e_i ^ e_j -> e_{n-1-i} ^ e_{n-1-j} = -(e_{n-1-j} ^ e_{n-1-i})
-    flipped = [pair_rank(n - 1 - j, n - 1 - i) for i, j in (pair_unrank(n, t) for t in range(comb(n, 2)))]
-    index = {kvec: s for s, kvec in enumerate(subspace.int_basis)}
-    target, sign = [], []
-    for kvec in subspace.int_basis:
-        image = [0] * len(kvec)
-        for t, c in enumerate(kvec):
-            image[flipped[t]] = -c
-        for eps in (1, -1):
-            s = index.get(tuple(eps * c for c in image))
-            if s is not None:
-                target.append(s)
-                sign.append(eps)
-                break
-        else:
-            return None
+    i, j = _pairs(n)
+    flipped = n - 1 - j + (n - 1 - i) * (n - 2 - i) // 2
+    bounds = np.cumsum(np.bincount(s, minlength=subspace.effective_m))[:-1]
+
+    def vectors(cols, values):  # each vector as its columns and its values, in column order
+        return zip(map(tuple, np.split(cols, bounds)), map(tuple, np.split(values, bounds)))
+
+    # a canonical basis vector leads with a positive entry, so the sign that makes an
+    # image's leading entry positive is the only one that can make it a basis vector
+    order = np.lexsort((flipped[t], s))
+    sign = np.where(vals[order[np.r_[0, bounds]]] < 0, 1, -1)
+    index = {key: k for k, key in enumerate(vectors(t, vals))}
+    target = [index.get(key, -1) for key in vectors(flipped[t[order]], -vals[order] * sign[s[order]])]
+    if -1 in target:
+        return None
     rev_q, rev_1 = reverse_rank_table(n, q), reverse_rank_table(n, q + 1)
     symq, sym1 = rev_q.size, rev_1.size
     rows = ((n - 1 - np.arange(n))[:, None] * sym1 + rev_1).ravel()
     cols = (np.array(target, dtype=np.int64)[:, None] * symq + rev_q).ravel()
-    return rows, cols, np.repeat(np.array(sign, dtype=np.int64), symq)
+    return rows, cols, np.repeat(sign.astype(np.int64), symq)
 
 
 def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
@@ -206,27 +224,19 @@ def restricted_delta2(subspace: SubspaceK, q: int) -> SparseMatrix:
     sym1 = sym_dim(n, q + 1)
     mult = multiply_rank_table(n, q)
     span = np.arange(symq, dtype=np.int64)
-    # the palette: K's coefficients with both signs, indexed without a pass over the entries
-    coeffs = sorted({sign * c for kvec in subspace.int_basis for c in kvec if c for sign in (1, -1)})
-    pos = {c: i for i, c in enumerate(coeffs)}
-    rows, cols, idx = [], [], []
-    for s, kvec in enumerate(subspace.int_basis):
-        base = s * symq
-        for t, coeff in enumerate(kvec):
-            if coeff == 0:
-                continue
-            i, j = pair_unrank(n, t)
-            rows += [j * sym1 + mult[i], i * sym1 + mult[j]]
-            cols += [base + span] * 2
-            idx += [np.full(symq, pos[coeff]), np.full(symq, pos[-coeff])]
-    nrows = n * sym1
-    ncols = subspace.effective_m * symq
-    if not rows:
+    nrows, ncols = n * sym1, subspace.effective_m * symq
+    s, t, vals = entries = _entries(subspace)
+    if not s.size:
         return SparseMatrix(nrows, ncols, [])
-    matrix = SparseMatrix.from_arrays(
-        nrows, ncols, np.concatenate(rows), np.concatenate(cols), np.concatenate(idx), coeffs
-    )
-    matrix.mirror = _reversal(subspace, q)
+    # an entry c of k_s at e_i ^ e_j puts c at row (j, x_i a) and -c at row (i, x_j a) of column (s, a)
+    i, j = (part[t] for part in _pairs(n))
+    coeffs = sorted(set(vals.tolist()) | set((-vals).tolist()))
+    pos = {c: k for k, c in enumerate(coeffs)}
+    rows = np.stack((j[:, None] * sym1 + mult[i], i[:, None] * sym1 + mult[j]), axis=1)
+    cols = np.broadcast_to((s * symq)[:, None, None] + span, rows.shape)
+    idx = np.broadcast_to(np.array([[pos[c], pos[-c]] for c in vals.tolist()])[:, :, None], rows.shape)
+    matrix = SparseMatrix.from_arrays(nrows, ncols, rows.ravel(), cols.ravel(), idx.ravel(), coeffs)
+    matrix.mirror = _reversal(subspace, q, entries)
     low = np.full(sym1, n)  # the smallest variable of each degree-(q+1) monomial
     for j in range(n - 1, -1, -1):
         low[mult[j]] = j
@@ -304,13 +314,21 @@ def w_dim(
 
     The one user of ``cache``: a hit under :func:`_cache_key` that passes
     :func:`_answers` builds no matrix and runs no oracle, so it answers
-    under any ``oracle_cap``; a miss is computed and stored.
+    under any ``oracle_cap``; a miss is computed and stored.  Before either,
+    ResourceLimitError is raised when the matrix's index tables (n C(n+q, q+1)
+    cells) or its 2 nnz(K) C(n+q-1, q) triplets would exceed the modular
+    engine's _DENSE_BYTES at 8 bytes a cell.
     """
     n = subspace.n
     fieldspec = _field(subspace, fieldspec)
     primes = tuple(primes or DEFAULT_PRIMES)
     image_dim = im_delta2_dim(n, q)
     bound = min(subspace.effective_m * sym_dim(n, q), image_dim)
+    # restricted_delta2's index tables, and its triplets at three int64 cells each
+    cells = max(n * comb(n + q, q + 1), 6 * sum(len(k) - k.count(0) for k in subspace.int_basis) * comb(n + q - 1, q))
+    if 8 * cells > linalg._DENSE_BYTES:
+        raise ResourceLimitError(f"W_{q} at n = {n} needs {8 * cells} bytes of index tables or triplets, "
+                                 f"over the budget of {linalg._DENSE_BYTES}")
     key = None if cache is None else _cache_key(subspace, q, fieldspec, primes)
     cert = None if cache is None else cache.get(key)
     if cert is None or not _answers(cert, bound, fieldspec, primes):

@@ -45,8 +45,8 @@ sum, and the rint(x/p)*p that reduces it, is an integer below
     (2^30 + 1) * (1 + 3 * k * 2^14) + 2^30  <  2^53     for k <= 170,
 
 exact in float64 for every prime PrimeField accepts.  A component whose
-block (once peeled, see below) and workspace exceed _DENSE_BYTES raises
-ResourceLimitError first.
+block (once pre-eliminated, see below) and workspace exceed _DENSE_BYTES
+raises ResourceLimitError first.
 
 A matrix may carry a candidate symmetry ``mirror`` = (row map pi, column
 map tau, column signs eps); :func:`koszul.hilbert.restricted_delta2` sets
@@ -72,24 +72,36 @@ certified lower bound.  When the spare rows really are redundant, rank(S A)
 = rank(A), and as no block can gain rank, each keeps its own.  No upper
 bound rests on the mask (see _kernel_certificate).
 
-Before the dense engine, the pass peels each selected component whose full
-block has more than _BASE rows (_peel).  An entry with a nonzero residue a
-that is alone in its column among the live entries is a structural pivot:
-column operations against that column clear the rest of its row and touch
-no other row, leaving a beside the block without that row and column, so
-the rank drops by exactly one, mod p as over Q.  An entry alone in its row
-is the transposed case.  A residue 0 is never a pivot, but its entry counts
-among the live ones.  A round takes at most one column pivot per row and
-one row pivot per column, so its pivots share no row or column and each
-stays alone while the others go.  Rounds stop when one takes nothing, or
-after _PEEL_ROUNDS of them, since a chain gives up only two pivots a round.
-A partial peel is still exact: a component's rank is its pivots plus the
-rank mod p of what is left, and _DENSE_BYTES is checked on what is left.
-Each pivot narrows a block, so, like a block the projection narrowed, a
-peeled one is no start of the kernel certificate: its echelon form is that
-of what is left, not of its full block.  A short one is eliminated again
-on its full rows.  Smaller blocks are stacked many to a call and are not
-peeled, so each keeps its start.
+Before the dense engine, the pass pre-eliminates each selected component
+whose full block has more than _BASE rows (_pre_eliminate): rounds of
+sparse pivots mod p on the live entries, as in structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO 1990; Bouillaguet and Delaplace,
+CASC 2016).  A pivot is an entry (r, c) with a nonzero residue a and a
+Markowitz cost (row weight - 1) * (column weight - 1) of at most
+_MARKOWITZ; a residue 0 is never a pivot, but its entry counts among the
+live ones until a merge rewrites its row.  A merge makes every other row x
+of column c into x - (a_x / a) * (row r) mod p, the fill summed by sort and
+reduce and a sum that vanishes mod p dropped; column operations then clear
+the rest of row r, leaving a beside what is left without row r and column
+c.  Row operations mod p are invertible, so a component's rank mod p is its
+pivots plus the rank mod p of what is left, and only what is left is
+budgeted against _DENSE_BYTES and eliminated.  A singleton is the cost-0
+case: alone in its column it rewrites no row, alone in its row it rewrites
+only entries of its own column, which goes.  A round orders its candidates
+by cost, then position, keeps the first of each column, then of each row,
+and of two of which one, a merge, would rewrite the other's pivot row,
+drops the later.  So no pivot of a round changes another's row, or its
+column but for a column that goes with its row singleton, and taking them
+at once is taking them one after another.  Among singletons the rule is one
+pivot per row and per column, so a first round takes every pivot that a
+round of single entries alone would.  A component stops on a round that
+takes fewer than 1/_FEW of its live rows (so on one that takes none), or
+once its live entries have more than doubled; the pass stops after _ROUNDS
+rounds.  Each pivot narrows a block, so, like a block the projection
+narrowed, a pre-eliminated one is no start of the kernel certificate: its
+echelon form is that of what is left, not of its full block.  A short one
+is eliminated again on its full rows.  Smaller blocks are stacked many to a
+call and are not pre-eliminated, so each keeps its start.
 
 No rank function reads a cache.  :class:`RankCache` stores whole certificates
 for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
@@ -118,7 +130,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # mod-p engine tuning (see the module docstring for the exactness bound)
 _PANEL = 128                # pivot rows per update; the bound allows up to 170
 _BASE = 8                   # recursion leaves, eliminated one row at a time
-_PEEL_ROUNDS = 64           # rounds of structural pivots per pass (the workloads need 38)
+_MARKOWITZ = 64             # largest Markowitz cost of a sparse pivot
+_ROUNDS = 64                # rounds of sparse pivots per pass (Weyman K up to n = 10 takes at most 44)
+_FEW = 32                   # a component stops on a round that takes under 1/_FEW of its live rows
 _DENSE_BYTES = 400_000_000  # one component's float64 block plus its workspace
 
 
@@ -624,29 +638,77 @@ def _stacks(lay: _Layout, values: np.ndarray, select: np.ndarray):
         yield batch, stack
 
 
-def _peel(rows: np.ndarray, cols: np.ndarray, residues: np.ndarray, comp: np.ndarray,
-          keep: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """Structural pivots among the triplets ``keep`` marks in the components ``big`` marks
-    (see the module docstring), at most _PEEL_ROUNDS rounds: drops from ``keep`` the
-    triplets in their rows and columns, and returns the pivots taken in each component.
-    A round takes each nonzero residue alone in its column (one per row) or alone in its
-    row (one per column)."""
-    taken, at = np.zeros(big.size, dtype=np.int64), np.flatnonzero(keep & big[comp])
-    for _ in range(_PEEL_ROUNDS if at.size else 0):
-        r, c = rows[at], cols[at]
-        nr, nc, nonzero = np.bincount(r), np.bincount(c), residues[at] != 0
-        by_col, by_row = np.flatnonzero(nonzero & (nc[c] == 1)), np.flatnonzero(nonzero & (nr[r] == 1))
-        piv = np.union1d(by_col[np.unique(r[by_col], return_index=True)[1]],
-                         by_row[np.unique(c[by_row], return_index=True)[1]])
-        if not piv.size:
+def _pre_eliminate(rows: np.ndarray, cols: np.ndarray, residues: np.ndarray, owner: np.ndarray,
+                   big: np.ndarray, p: int):
+    """Sparse pivots mod p on the triplets of the components ``big`` marks, ``owner`` giving
+    the component of each row, in at most _ROUNDS rounds (see the module docstring).  Returns
+    the triplets (rows, cols, residues) left, those of a component that took no pivot as
+    given, and the pivots taken in each component."""
+    ncomp, width, work = big.size, int(cols.max(initial=0)) + 1, big[owner[rows]]
+    taken, nnz = np.zeros(ncomp, dtype=np.int64), np.bincount(owner[rows[work]], minlength=ncomp)
+    live, done = [rows[work], cols[work], residues[work]], []
+    for _ in range(_ROUNDS):
+        if not live[0].size:
             break
-        taken += np.bincount(comp[at[piv]], minlength=big.size)
-        dead_r, dead_c = np.zeros(nr.size, dtype=bool), np.zeros(nc.size, dtype=bool)
-        dead_r[r[piv]], dead_c[c[piv]] = True, True
-        gone = dead_r[r] | dead_c[c]
-        keep[at[gone]] = False
-        at = at[~gone]
-    return taken
+        r, c, v = live
+        nr, nc = np.bincount(r), np.bincount(c)
+        cost = (nr[r] - 1) * (nc[c] - 1)
+        # priority by cost, then position: a candidate comes first in its column, then in its row
+        none = (_MARKOWITZ + 1) * r.size  # above every candidate's priority
+        prio = np.where((v != 0) & (cost <= _MARKOWITZ), cost * r.size + np.arange(r.size), none)
+        first_c, first_r = np.full(nc.size, none), np.full(nr.size, none)
+        np.minimum.at(first_c, c, prio)
+        i = np.flatnonzero((prio == first_c[c]) & (prio < none))
+        np.minimum.at(first_r, r[i], prio[i])
+        i = i[prio[i] == first_r[r[i]]]
+        # a merge rewrites the other rows of its column: of two candidates one of which
+        # would rewrite the other's pivot row, the later one waits
+        merge = (nr[r[i]] > 1) & (nc[c[i]] > 1)
+        by_col, by_row = np.full(nc.size, -1), np.full(nr.size, -1)
+        by_col[c[i[merge]]], by_row[r[i]] = np.flatnonzero(merge), np.arange(i.size)
+        e = np.flatnonzero(by_col[c] >= 0)
+        a, b = by_col[c[e]], by_row[r[e]]
+        a, b = a[(b >= 0) & (a != b)], b[(b >= 0) & (a != b)]
+        ok = np.ones(i.size, dtype=bool)
+        ok[np.where(prio[i[a]] > prio[i[b]], a, b)] = False
+        piv, m = i[ok], i[ok & merge]
+        # each other row x of a merge's column becomes x - (a_x / a) * (pivot row)
+        by_col[:], by_row[:] = -1, -1
+        by_col[c[m]] = by_row[r[m]] = np.arange(m.size)
+        jc, jr = by_col[c], by_row[r]
+        u, w = np.flatnonzero((jc >= 0) & (jr < 0)), np.flatnonzero((jr >= 0) & (jc < 0))
+        # the fill: each rewritten entry x times each other entry of its merge's pivot row
+        w = w[np.argsort(jr[w], kind="stable")]
+        count = np.bincount(jr[w], minlength=m.size)
+        each = count[jc[u]]
+        at = np.repeat((np.cumsum(count) - count)[jc[u]] - (np.cumsum(each) - each), each) + np.arange(each.sum())
+        inv = np.array([pow(x, -1, p) for x in v[m].tolist()], dtype=np.int64)
+        factor = np.repeat(v[u] * inv[jc[u]] % p, each)
+        fill = [np.repeat(r[u], each), c[w][at], -factor * v[w][at] % p]
+        # drop the pivots' rows and columns, and sum each rewritten row with its fill
+        (dead_r, moved), dead_c = np.zeros((2, nr.size), dtype=bool), np.zeros(nc.size, dtype=bool)
+        dead_r[r[piv]] = dead_c[c[piv]] = moved[r[u]] = True
+        stay = ~(dead_r[r] | dead_c[c])
+        same, new, alive = stay & ~moved[r], stay & moved[r], ~dead_c[fill[1]]
+        mixed = [np.concatenate((x[new], y[alive])) for x, y in zip(live, fill)]
+        key = mixed[0] * width + mixed[1]
+        order = np.argsort(key)
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        total = np.add.reduceat(mixed[2][order], first) % p
+        pick = order[first[total != 0]]
+        live = [np.concatenate((x[same], y)) for x, y in zip(live, (mixed[0][pick], mixed[1][pick], total[total != 0]))]
+        # a component stops on a round that takes few pivots for its rows, or once its
+        # entries have more than doubled
+        now = np.bincount(owner[r[piv]], minlength=ncomp)
+        taken += now
+        k = owner[live[0]]
+        stop = now * _FEW < np.bincount(owner[np.flatnonzero(nr)], minlength=ncomp)
+        stop |= np.bincount(k, minlength=ncomp) > 2 * nnz
+        done.append([x[stop[k]] for x in live])
+        live = [x[~stop[k]] for x in live]
+    left, hit = [np.concatenate(x) for x in zip(*done, live)], taken > 0
+    keep, fresh = ~hit[owner[rows]], hit[owner[left[0]]]
+    return [np.concatenate((x[keep], y[fresh])) for x, y in zip((rows, cols, residues), left)], taken
 
 
 def _orbit_representatives(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndarray) -> np.ndarray | None:
@@ -714,13 +776,13 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
 def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
     """The one elimination at the reference prime p: the mirror checked on the full
     pattern, then each block it selects eliminated once without the spare rows, a block of
-    more than _BASE rows once peeled (see the module docstring); ``comp`` labels the
-    components of the exact pattern.  Returns (rank, short, kept, trial, pivot, vectors):
-    each component's rank mod p, its structural pivots included (a skipped one takes its
-    partner's); the short ones, below their full block's rows; those eliminated unpeeled as
-    their full block minus some rows, where the kernel certificate starts, and of these the
-    ones that lost rows; with ``certify``, the short unpeeled blocks' pivots and vectors
-    (_echelons) among the full blocks' columns, else nothing."""
+    more than _BASE rows once pre-eliminated (see the module docstring); ``comp`` labels
+    the components of the exact pattern.  Returns (rank, short, kept, trial, pivot,
+    vectors): each component's rank mod p, its sparse pivots included (a skipped one takes
+    its partner's); the short ones, below their full block's rows; those eliminated, with
+    no sparse pivot, as their full block minus some rows, where the kernel certificate
+    starts, and of these the ones that lost rows; with ``certify``, those short blocks'
+    pivots and vectors (_echelons) among the full blocks' columns, else nothing."""
     vals, ncomp = matrix.residues(p), int(comp.max()) + 1
     rep = _orbit_representatives(matrix, vals, p, comp)
     if rep is None:
@@ -732,10 +794,11 @@ def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
     h, w = np.minimum(nr, nc), np.maximum(nr, nc)  # each component's full block
     keep = np.asarray(matrix.spare)  # the triplets of the rows not spare (all if the mask is malformed)
     keep = ~keep[matrix.rows] if keep.dtype == bool and keep.shape == (matrix.nrows,) else np.ones(comp.size, dtype=bool)
-    taken = _peel(matrix.rows, matrix.cols, vals, comp, keep, select & (h > _BASE))
-    lay = _layout(matrix.rows[keep], matrix.cols[keep], comp[keep], select)
-    # a peeled block is never a start, so it needs neither the sweep nor vectors
-    rank, pivot, vectors = _echelons(lay, vals[keep], p, (h * (certify & (taken == 0)), w), select)
+    (rows, cols, left), taken = _pre_eliminate(matrix.rows[keep], matrix.cols[keep], vals[keep], node[:matrix.nrows],
+                                               select & (h > _BASE), p)
+    lay = _layout(rows, cols, node[rows], select)
+    # a pre-eliminated block is never a start, so it needs neither the sweep nor vectors
+    rank, pivot, vectors = _echelons(lay, left, p, (h * (certify & (taken == 0)), w), select)
     rank = (rank + taken)[rep]
     # dropping rows keeps a block's width, and then leaves the full block minus those
     # rows, or narrows it (a flipped block's width is its row count); a pivot narrows it

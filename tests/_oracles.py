@@ -6,7 +6,7 @@ paths it is used to check.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def gauss_rank_rational(dense) -> int:
@@ -184,3 +184,37 @@ def decomposable_search(subspace, p: int):
                 continue
             return lift, not any(wedge_square(lift, n)) and pairs_with(subspace, lift)
     return None
+
+
+def reversal_maps(subspace, q):
+    """The index reversal on the rows and columns of ``restricted_delta2(subspace, q)``
+    as (row map, column map, column signs), or None, by the plain row-by-row loop: each
+    integer basis vector of a rational K flipped, negated, and looked up with both signs."""
+    import numpy as np
+
+    from koszul.bases import pair_rank, pair_unrank, reverse_rank_table
+    from koszul.linalg import Rational
+
+    if not isinstance(subspace.field, Rational):
+        return None
+    n = subspace.n
+    flipped = [pair_rank(n - 1 - j, n - 1 - i) for i, j in (pair_unrank(n, t) for t in range(comb(n, 2)))]
+    index = {kvec: s for s, kvec in enumerate(subspace.int_basis)}
+    target, sign = [], []
+    for kvec in subspace.int_basis:
+        image = [0] * len(kvec)
+        for t, c in enumerate(kvec):
+            image[flipped[t]] = -c
+        for eps in (1, -1):
+            s = index.get(tuple(eps * c for c in image))
+            if s is not None:
+                target.append(s)
+                sign.append(eps)
+                break
+        else:
+            return None
+    rev_q, rev_1 = reverse_rank_table(n, q), reverse_rank_table(n, q + 1)
+    symq, sym1 = rev_q.size, rev_1.size
+    rows = ((n - 1 - np.arange(n))[:, None] * sym1 + rev_1).ravel()
+    cols = (np.array(target, dtype=np.int64)[:, None] * symq + rev_q).ravel()
+    return rows, cols, np.repeat(np.array(sign, dtype=np.int64), symq)

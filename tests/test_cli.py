@@ -177,6 +177,20 @@ def test_exit_code_resource(tmp_path, capsys):
     assert code == 0 and out == "q,dim_Wq,bound,certified\n0,19503,19503,true\n"
 
 
+def test_oversized_koszul_matrix_fails_fast(capsys):
+    # W_q whose index tables or triplets exceed the dense budget fails before anything is
+    # built: at n = 20, q = 17 the multiplication table alone is 3.5 * 10^11 cells, at
+    # n = 12, q = 9 the matrix has 2.2 * 10^7 entries, and --zero 100000 has 10^10 cells
+    for argv in (["resonance", "--weyman", "20"], ["resonance", "--weyman", "12"],
+                 ["hilbert", "--zero", "100000", "--q-max", "0"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == "" and "Traceback" not in err, argv
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ResourceLimitError", argv
+
+
 def test_determinism_across_threads(capsys):
     _, out1, _ = run(capsys, ["hilbert", "--random", "5", "7", "11", "--format", "json"])
     _, out2, _ = run(capsys, ["hilbert", "--random", "5", "7", "11", "--format", "json", "--threads", "2"])

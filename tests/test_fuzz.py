@@ -9,17 +9,18 @@ the cases a false one, below the true rank), and may attach a lying
 ``spare`` mask or ``mirror`` candidate.  Two more draws carry honest hints:
 spare rows that are integer combinations of the others, which must leave
 the certificate as it is without them, and a block beside its mirror image,
-one value of which may then be changed.  A last draw plants single-entry
-rows and columns, some of them multiples of 7 or 11, around blocks of more
-than _BASE rows, which the pass at the first prime peels (structural
-pivots) before the dense engine.  The invariants:
+one value of which may then be changed.  Two last draws plant, around
+blocks of more than _BASE rows, what the pass at the first prime takes as
+sparse pivots before the dense engine: single-entry rows and columns, and
+columns of weight 2 to 8 and chains that only merges take; some planted
+values are multiples of 7 or 11.  The invariants:
 
 - with no bound or a valid one, the rank is certified exact and true;
 - a false bound raises InvalidInputError or returns a rank no larger than
   the bound (a modular rank that reaches a false bound is trusted by
   design);
 - nothing raises anything else;
-- in the last draw, the rank mod each drawn prime is the oracle's.
+- in the last two draws, the rank mod each drawn prime is the oracle's.
 
 The CLI half corrupts a ``--k-file`` and the lines of a rank cache: every
 run exits 0, 1 or 2, a failure prints one JSON object on stderr and no
@@ -191,8 +192,9 @@ def peelable(rng):
     """(nrows, ncols, dense): a product B C of more than _BASE rows and columns and of
     rank 1 to 9, so often short of its rows, with 1 to 5 tails planted on it.  A tail
     hangs new rows and columns off one of the block's columns (or rows) in a chain of 1
-    to 4 links, so that its last column (row) holds one entry; the peel takes it in as
-    many rounds as the chain has links.  Some planted values are multiples of 7 or 11."""
+    to 4 links, so that its last column (row) holds one entry; single-entry pivots alone
+    take it in as many rounds as the chain has links.  Some planted values are multiples
+    of 7 or 11."""
     n, m, r = rng.randint(_BASE + 1, 12), rng.randint(_BASE + 1, 12), rng.randint(1, 9)
     b = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)] for _ in range(n)]
     c = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(m)] for _ in range(r)]
@@ -211,12 +213,69 @@ def peelable(rng):
 
 
 def test_peel_fuzz():
-    # blocks the pass at the first prime peels before the dense engine; a pivot taken on
-    # a zero residue leaves the rank a lower bound over Q, so the rank mod each drawn
-    # prime is checked too, before any hint is attached
+    # blocks the pass at the first prime pre-eliminates before the dense engine; a
+    # pivot taken on a zero residue leaves the rank a lower bound over Q, so the rank
+    # mod each drawn prime is checked too, before any hint is attached
     rng = random.Random(20261023)
     for _ in range(200):
         parts = [peelable(rng) for _ in range(rng.randint(1, 2))]
+        true = sum(gauss_rank_rational(dense) for _, _, dense in parts)
+        matrix = SparseMatrix(*block_diagonal(parts, rng))
+        primes = rng.sample(PRIMES, rng.randint(1, 3))
+        for p in primes:
+            modular = sum(gauss_rank_mod_p(dense, p) for _, _, dense in parts)
+            assert rank(matrix, PrimeField(p)).rank == modular, (matrix.to_dense_rows(), p)
+        lie(rng, matrix)
+        check(matrix, true, primes, draw_bound(rng, true, matrix.shape))
+
+
+def mergeable(rng):
+    """(nrows, ncols, dense): a block of more than _BASE rows and columns, either sparse
+    (each entry there with probability 1/4, then 0 to 2 rows that are sums of multiples of
+    two others) or a product B C of rank 1 to 9, with 1 to 5 columns of weight 2 to 8 and
+    1 to 3 chains planted on it.  A chain hangs 2 to 6 links off one of the block's rows,
+    each a new column on the last row and a new row, and its last row goes back to a
+    column of the block, so that its rows and columns have weight 2 and only merges of
+    cost 1 take it.  Some planted values are multiples of 7 or 11."""
+    n, m = rng.randint(_BASE + 1, 14), rng.randint(_BASE + 1, 14)
+
+    def value():
+        return rng.choice((1, -1, 2, -3)) * rng.choice((1, 1, 7, 11))
+
+    if rng.random() < 0.5:
+        dense = [[value() if rng.random() < 0.25 else 0 for _ in range(m)] for _ in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            (a, x), (b, y) = [(rng.randrange(len(dense)), rng.choice((1, -1, 2, 7))) for _ in range(2)]
+            dense.append([x * u + y * v for u, v in zip(dense[a], dense[b])])
+    else:
+        r = rng.randint(1, 9)
+        b = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)] for _ in range(n)]
+        c = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(m)] for _ in range(r)]
+        dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    shape = [len(dense), m]
+    for _ in range(rng.randint(1, 5)):
+        for i in rng.sample(range(shape[0]), min(shape[0], rng.randint(2, 8))):
+            entries[i, shape[1]] = value()
+        shape[1] += 1
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(shape[0])
+        for _ in range(rng.randint(2, 6)):
+            i, j = shape  # the link's new row and column
+            entries[at, j], entries[i, j] = value(), value()
+            at, shape = i, [i + 1, j + 1]
+        entries[at, rng.randrange(m)] = value()
+    dense = [[entries.get((i, j), 0) for j in range(shape[1])] for i in range(shape[0])]
+    return shape[0], shape[1], dense
+
+
+def test_merge_fuzz():
+    # blocks the pass at the first prime pre-eliminates with merges as well as single
+    # entries; a pivot on a zero residue or two conflicting pivots in one round change
+    # the rank mod p, so it is checked against the oracle before any hint is attached
+    rng = random.Random(20261024)
+    for _ in range(200):
+        parts = [mergeable(rng) for _ in range(rng.randint(1, 2))]
         true = sum(gauss_rank_rational(dense) for _, _, dense in parts)
         matrix = SparseMatrix(*block_diagonal(parts, rng))
         primes = rng.sample(PRIMES, rng.randint(1, 3))

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from _oracles import gauss_rank_mod_p, gauss_rank_rational
+from _oracles import gauss_rank_mod_p, gauss_rank_rational, reversal_maps
 from koszul.bases import monomial_rank, pair_rank, sym_dim
 from koszul.errors import InvalidInputError, ResourceLimitError
 from koszul.hilbert import (
@@ -291,6 +291,25 @@ def hyperplane_K(n):
     skip = pair_rank(0, 1)
     width = comb(n, 2)
     return subspace_from_rows(n, [[int(i == j) for i in range(width)] for j in range(width) if j != skip])
+
+
+def test_reversal_matches_the_row_loop():
+    import numpy as np
+
+    # Weyman's K maps onto itself, the hyperplane K and a K with a coefficient past int64
+    # too; random K and one over F_p have no mirror
+    cases = [(weyman_K(n), q) for n in range(3, 13) for q in (0, 1, 3)]
+    cases += [(hyperplane_K(n), q) for n in (4, 5, 7) for q in (0, 2)]
+    cases += [(random_K(n, m, seed), 1) for n, m, seed in ((5, 7, 1), (6, 9, 2), (7, 11, 3))]
+    cases += [(subspace_from_rows(3, [[1, 2**70, 1]]), 2), (random_K(5, 3, 1, PrimeField(101)), 1)]
+    found = 0
+    for K, q in cases:
+        got, want = restricted_delta2(K, q).mirror, reversal_maps(K, q)
+        assert (got is None) == (want is None), (K.n, q)
+        if want is not None:
+            found += 1
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want)), (K.n, q)
+    assert found >= 30
 
 
 def count_oracle_calls(monkeypatch):
@@ -702,7 +721,7 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     from koszul.errors import ResourceLimitError
 
     p = DEFAULT_PRIMES[0]
-    # one 756x504 component, 504x504 projected, 468x468 once 36 structural pivots are taken
+    # one 756x504 component, 504x504 projected, 297x297 once 207 sparse pivots are taken
     matrix = restricted_delta2(random_K(6, 9, 2), 3)
     assert full_layout(matrix, p).h.size == 1
     calls = []
@@ -713,12 +732,12 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
         return inner(block, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_block_rank", counting)
-    need = 8 * 468 * (468 + 6 * linalg._PANEL)  # the peeled projected block and its workspace
+    need = 8 * 297 * (297 + 6 * linalg._PANEL)  # the pre-eliminated projected block and its workspace
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     with pytest.raises(ResourceLimitError):
         full_rank(matrix, p)
     assert calls == []
-    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(468, 468)]
+    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(297, 297)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
     with pytest.raises(ResourceLimitError):
@@ -735,7 +754,7 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     cert = linalg.rank(both, None)
     assert cert.mode == "kernel-verified" and cert.rank == 505 and cert.verified_vectors == 1
-    assert calls == [(468, 468)]
+    assert calls == [(297, 297)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
     with pytest.raises(ResourceLimitError):
@@ -773,17 +792,17 @@ def test_one_elimination_per_block_at_the_reference_prime(monkeypatch):
 
 
 def noting_pivots(monkeypatch):
-    """The structural pivots each _peel call takes, in a list that grows as they are taken."""
+    """The sparse pivots each _pre_eliminate call takes, in a list that grows as they are taken."""
     import koszul.linalg as linalg
 
-    pivots, peel = [], linalg._peel
+    pivots, inner = [], linalg._pre_eliminate
 
     def noting(*args):
-        taken = peel(*args)
+        left, taken = inner(*args)
         pivots.append(int(taken.sum()))
-        return taken
+        return left, taken
 
-    monkeypatch.setattr(linalg, "_peel", noting)
+    monkeypatch.setattr(linalg, "_pre_eliminate", noting)
     return pivots
 
 
@@ -791,7 +810,9 @@ def test_peeled_ranks_match_unpeeled_elimination(monkeypatch):
     import koszul.linalg as linalg
 
     # Weyman's K at n = 8 has 7, 14, 35, 175 and 189 among its coefficients, so mod 7
-    # some entries alone in their row or column vanish, and are no pivots
+    # some entries vanish, and are no pivots; the rank with the sparse pass, which merges
+    # rows as well as taking single entries, equals the ranks with the pass switched off,
+    # on the projected blocks and on the full ones
     pivots = noting_pivots(monkeypatch)
     for n in range(6, 9):
         K = weyman_K(n)
@@ -799,23 +820,42 @@ def test_peeled_ranks_match_unpeeled_elimination(monkeypatch):
             matrix = restricted_delta2(K, q)
             for p in (7, DEFAULT_PRIMES[0]):
                 del pivots[:]
-                peeled = projected_rank(matrix, p)
+                merged = projected_rank(matrix, p)
                 assert pivots[0] > 0 or full_layout(matrix, p).h.max() <= linalg._BASE, (n, q, p)
                 with monkeypatch.context() as bypass:
-                    bypass.setattr(linalg, "_PEEL_ROUNDS", 0)
-                    assert peeled == full_rank(matrix, p), (n, q, p)
+                    bypass.setattr(linalg, "_ROUNDS", 0)
+                    del pivots[:]
+                    assert merged == projected_rank(matrix, p) == full_rank(matrix, p), (n, q, p)
+                    assert not any(pivots)
     assert (restricted_delta2(weyman_K(8), 5).residues(7) == 0).any()
-    # every block of the hyperplane K has at most _BASE rows, so none is peeled
+    # every block of the hyperplane K has at most _BASE rows, so none is pre-eliminated
     K, q = hyperplane_K(6), 3
     assert full_layout(restricted_delta2(K, q), DEFAULT_PRIMES[0]).h.max() <= linalg._BASE
     del pivots[:]
     assert w_dim(K, q).dim == q + 1 and pivots and not any(pivots)
 
 
+def test_merges_shrink_the_dense_blocks(monkeypatch):
+    import koszul.linalg as linalg
+
+    # at n = 9, q = 5 the largest block left by single-entry pivots alone had 810 rows;
+    # merges leave every block at most half of that
+    calls, inner = [], linalg._block_rank
+
+    def counting(block, *args):
+        calls.append(block.shape)
+        return inner(block, *args)
+
+    monkeypatch.setattr(linalg, "_block_rank", counting)
+    res = w_dim(weyman_K(9), 5)
+    assert res.dim == hilbert_bound(9, 5) and res.certified
+    assert calls and max(h for h, _ in calls) <= 810 // 2
+
+
 def test_peeled_blocks_get_no_sweep(monkeypatch):
     import koszul.linalg as linalg
 
-    # every block of Weyman's K at n = 8, q = 5 is of full rank; a peeled one is no
+    # every block of Weyman's K at n = 8, q = 5 is of full rank; a pre-eliminated one is no
     # start of the kernel certificate, so it gets no target, hence no backward sweep
     pivots, sweeps, inner = noting_pivots(monkeypatch), [], linalg._block_rank
 

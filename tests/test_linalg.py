@@ -308,6 +308,7 @@ def test_over_budget_component_fails_fast():
     assert isinstance(out, RankCertificate) and out.rank == 2
     assert seconds < 1.0 and peak < 50 * 2**20
     # two full rows and two full columns leave no entry alone in its row or column,
+    # every entry has a Markowitz cost of at least n - 1, so no merge takes one either,
     # and the dense block would need over 3 GB
     out, seconds, peak = timed_rank(arrow(20_000, 2))
     assert isinstance(out, ResourceLimitError)
@@ -315,40 +316,67 @@ def test_over_budget_component_fails_fast():
 
 
 def test_peeling_is_bounded():
-    # a chain peels two pivots a round, one from each end: without a round cap that
-    # takes time quadratic in n, and under it the rest is over the budget at once
+    # a chain: each merge would rewrite the pivot row of the one before, so a round
+    # takes the two ends and few pivots for its rows, which stops the pass; the rest is
+    # over the budget at once
     n = 20_000
     out, seconds, _ = timed_rank(chain(np.ones(n), np.ones(n - 1)))
     assert isinstance(out, ResourceLimitError) or out.rank == n
     assert seconds < 1.0
 
 
+def hub_chains(rng, cap, few, hubs, deep):
+    """(matrix, chain lengths): chains of column singletons, one pivot a round each, on
+    rows that are full across ``hubs`` hub columns, so that no other entry is cheap
+    enough to be a pivot.  The first chain outlives ``cap`` rounds by ``deep`` rows, and
+    enough shorter ones end on the way that every round takes a 1/``few`` share of the
+    live rows.  Chain entries beyond the cap may be multiples of 7, hub entries all are."""
+    lengths = [cap + deep]
+    for t in range(cap - 1, -1, -1):
+        while few * sum(n > t for n in lengths) < sum(max(0, n - t) for n in lengths):
+            lengths.append(t + 1)
+    rows, cols, vals, top = [], [], [], 0
+    for j, n in enumerate(lengths):
+        for i in range(n):
+            late = j == 0 and i < deep  # reached by no round under the cap
+            rows += [top + i] * (hubs + 1)
+            cols += list(range(hubs)) + [hubs + top + i]
+            vals += [7 * rng.choice((1, -1, 2, -3)) for _ in range(hubs)]
+            vals.append(rng.choice((1, 7, -14, 3, 49) if late else (1, -2, 3, 5)))
+            if i + 1 < n:  # the next row's entry in this column
+                rows.append(top + i + 1)
+                cols.append(hubs + top + i)
+                vals.append(rng.choice((1, -1, 2, 7) if late else (1, -1, 2)))
+        top += n
+    return SparseMatrix.from_arrays(top, hubs + top, np.array(rows), np.array(cols), np.array(vals)), lengths
+
+
 def test_partial_peel_is_exact(monkeypatch):
     import koszul.linalg as linalg
 
-    # a chain 40 longer than two pivots a round for _PEEL_ROUNDS rounds: the peel
-    # stops at the cap and the dense engine takes the middle, where some diagonal
-    # entries are multiples of 7
-    rng, cap = random.Random(19), linalg._PEEL_ROUNDS
-    assert cap <= 256  # the oracle below takes the chain as a dense list of lists
-    n = 2 * cap + 40
-    diagonal = [rng.choice((1, -2, 3, 5) if min(i, n - 1 - i) < cap else (1, 7, -14, 3, 49)) for i in range(n)]
-    matrix = chain(diagonal, [rng.choice((1, -1, 2, 7)) for _ in range(n - 1)])
-    dense = matrix.to_dense_rows()
-    pivots, peel = [], linalg._peel
+    # every round takes one pivot from each chain and just enough of the rows, so the
+    # pass stops at the cap, and the dense engine takes the rest, where some diagonal
+    # entries are multiples of 7 and every hub entry is
+    cap = linalg._ROUNDS
+    matrix, lengths = hub_chains(random.Random(19), cap, linalg._FEW, linalg._MARKOWITZ + 1, 40)
+    n = matrix.nrows
+    pivots, inner = [], linalg._pre_eliminate
 
     def noting(*args):
-        taken = peel(*args)
+        left, taken = inner(*args)
         pivots.append(int(taken.sum()))
-        return taken
+        return left, taken
 
-    monkeypatch.setattr(linalg, "_peel", noting)
+    monkeypatch.setattr(linalg, "_pre_eliminate", noting)
     for p in (7, DEFAULT_PRIMES[0]):
-        assert rank(matrix, PrimeField(p)).rank == gauss_rank_mod_p(dense, p), p
-        assert pivots[-1] == 2 * cap
-    assert gauss_rank_mod_p(dense, 7) < n
-    # mod 7 the peeled block is short: the kernel certificate eliminates it again on
-    # its full rows, and the next prime shows it of full rank
+        merged = rank(matrix, PrimeField(p)).rank
+        assert pivots[-1] == sum(min(length, cap) for length in lengths) < n, p
+        with monkeypatch.context() as bypass:
+            bypass.setattr(linalg, "_ROUNDS", 0)
+            assert merged == rank(matrix, PrimeField(p)).rank, p
+    assert rank(matrix, PrimeField(7)).rank < n
+    # mod 7 the pre-eliminated block is short: the kernel certificate eliminates it again
+    # on its full rows, and the next prime shows it of full rank
     cert = rank(matrix, None, primes=[7])
     assert cert.rank == n and cert.certified_exact and cert.primes == (7, DEFAULT_PRIMES[0])
 
