@@ -1,8 +1,9 @@
 """Exact sparse linear algebra with certification semantics.
 
-Ranks are computed either over the rationals (fraction-free elimination
-on a dense copy, the ground-truth oracle) or over a prime field F_p with
-p an odd prime below 2^31.
+Ranks are computed either over the rationals (the ground-truth oracle:
+:func:`echelon`, the one exact integer elimination, which also gives K's
+canonical basis, run without its back pass on a dense copy of the rows
+that hold an entry) or over a prime field F_p with p an odd prime below 2^31.
 
 Matrices are integral.  A :class:`SparseMatrix` stores each distinct value
 once, in a palette of exact Python ints, and one int64 palette index per
@@ -115,7 +116,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log2
+from math import gcd, isqrt, log2
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -417,36 +418,44 @@ class SparseMatrix:
 # dense kernels
 
 
-def bareiss_rank(dense: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination rank of an integer matrix."""
-    a = [row[:] for row in dense]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+def primitive(row: list[int]) -> list[int]:
+    """The row divided by its content, its first nonzero entry made positive."""
+    g = gcd(*row)
+    if g and next(filter(None, row)) < 0:
+        g = -g
+    return row if g in (0, 1) else [v // g for v in row]
+
+
+def echelon(rows: list[list[int]], p: int | None, reduced: bool = True) -> tuple[tuple[int, ...], ...]:
+    """The one exact elimination: an echelon basis of the span of some integer rows over
+    Q (p None) or F_p.  pivot[c]*row - row[c]*pivot clears column c in the rows below
+    the pivot, and with ``reduced`` in those above it too; each rewritten row is divided
+    by its content (over F_p reduced, each pivot scaled to 1).  Up to its content, each
+    row stays the one vector in the span of its input row and the pivot rows so far
+    that vanishes at the pivot columns cleared in it, so its entries are bounded by
+    minors (Cramer's rule), with or without ``reduced``.  With it the result is the
+    canonical basis of :mod:`koszul.subspaces`; without, the forward pass alone, its
+    length is the rank."""
+    reduce = primitive if p is None else (lambda row: [v % p for v in row])
+    a = [row for row in map(reduce, rows) if any(row)]
     r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(len(a[0]) if a else 0):
+        if r == len(a):
             break
-        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv_row is None:
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
             continue
-        if piv_row != r:
-            a[r], a[piv_row] = a[piv_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nrows):
-            aic = a[i][c]
-            rowi = a[i]
-            rowr = a[r]
-            if aic == 0:
-                for j in range(c + 1, ncols):
-                    rowi[j] = rowi[j] * piv // prev
-            else:
-                for j in range(c + 1, ncols):
-                    rowi[j] = (rowi[j] * piv - aic * rowr[j]) // prev
-                rowi[c] = 0
-        prev = piv
+        a[r], a[piv] = a[piv], a[r]
+        if p is not None:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [v * inv % p for v in a[r]]
+        prow, pc = a[r], a[r][c]
+        for i in range(0 if reduced else r + 1, len(a)):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = reduce([pc * x - f * y for x, y in zip(a[i], prow)])
         r += 1
-    return r
+    return tuple(map(tuple, a[:r]))
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +754,13 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
     and among the full blocks' columns side by side (offsets cumsum(w) - w) the short blocks'
     pivot mask and kernel vectors mod p, as entries (column, slot, residue) sorted by column,
     then slot: slot k holds the vector of the block's k-th free column, 1 there and minus that
-    column of the reduced echelon form at the pivot columns (so it depends on the pivot set)."""
+    column of the reduced echelon form at the pivot columns (so it depends on the pivot set).
+    Raises ResourceLimitError before building a stack's vectors when all the vectors so far,
+    24 bytes an entry, would exceed _DENSE_BYTES."""
     h, w = frame
     offset = np.cumsum(w) - w
     rank, pivot = np.zeros(h.size, dtype=np.int64), np.zeros(int(w.sum()), dtype=bool)
-    found = [np.zeros((3, 0), dtype=np.int64)]
+    found, entries = [np.zeros((3, 0), dtype=np.int64)], 0
     for batch, stack in _stacks(lay, (residues - p * (residues > p // 2)).astype(np.float64), select):
         # small blocks together by Gauss-Jordan, a big one alone panel by panel
         piv = _jordan_base(stack, p) if stack.shape[1] <= _BASE else _block_rank(stack[0], p, int(h[batch[0]]))[None]
@@ -757,6 +768,11 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
         short = rank[batch] < h[batch]
         if not short.any():
             continue
+        # a short block's vectors: rank + 1 entries of three int64 cells per free column
+        entries += int(((stack.shape[2] - rank[batch]) * (rank[batch] + 1))[short].sum())
+        if 24 * entries > _DENSE_BYTES:
+            raise ResourceLimitError(f"kernel vectors of {entries} entries need {24 * entries} bytes, "
+                                     f"over the budget of {_DENSE_BYTES}")
         b, i = np.nonzero((piv >= 0) & short[:, None])  # the pivot rows of the short blocks
         start = offset[batch]
         pivot[start[b] + piv[b, i]] = True
@@ -1012,12 +1028,23 @@ def _kernel_certificate(matrix: SparseMatrix, comp: np.ndarray, bound: int | Non
 
 
 def rational_rank(matrix: SparseMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Exact rank over Q by fraction-free elimination on a dense copy."""
+    """Exact rank over Q: the number of rows that :func:`echelon`, without its back pass,
+    leaves of a dense copy of the rows that hold an entry.  Raises ResourceLimitError
+    over ``oracle_cap`` columns, or when that copy, at 8 bytes a cell, would exceed
+    _DENSE_BYTES, before anything is copied."""
     if matrix.ncols > oracle_cap:
         raise ResourceLimitError(
             f"rational elimination capped at {oracle_cap} columns, matrix has {matrix.ncols}"
         )
-    return bareiss_rank(matrix.to_dense_rows())
+    held, local = np.unique(matrix.rows, return_inverse=True)
+    need = 8 * held.size * matrix.ncols
+    if need > _DENSE_BYTES:
+        raise ResourceLimitError(f"{held.size} dense rows of {matrix.ncols} cells need {need} bytes, "
+                                 f"over the budget of {_DENSE_BYTES}")
+    dense = [[0] * matrix.ncols for _ in range(held.size)]
+    for r, c, v in zip(local.tolist(), matrix.cols.tolist(), matrix.value_list()):
+        dense[r][c] = v
+    return len(echelon(dense, None, reduced=False))
 
 
 def _within(value: int, bound: int | None) -> int:

@@ -6,13 +6,16 @@ always canonical: the one stored basis, ``int_basis``, is the reduced row
 echelon form over the coefficient field (over Q each row scaled to integers
 with content 1 and a positive pivot), so ``effective_m`` equals the number of
 stored rows and equality of subspaces is equality of bases.  It comes from
-fraction-free Gauss-Jordan elimination (_echelon): pivot[c]*row - row[c]*pivot
-clears column c, then the row is divided by its content (over F_p reduced,
-each pivot scaled to 1).  Each row stays, up to its content, the one vector of
-its inputs' span vanishing at the pivot columns cleared so far, so its entries
-are bounded by minors (Cramer's rule).  A K whose m dense rows of C(n,2)
-cells, 8 bytes a cell, exceed the engine's _DENSE_BYTES is refused before
-any row is built.
+:func:`koszul.linalg.echelon`, the one exact integer elimination, which the
+rational oracle runs too, here with its back pass: fraction-free Gauss-Jordan
+elimination, in which pivot[c]*row - row[c]*pivot clears column c above and
+below the pivot, then the row is divided by its content (over F_p reduced,
+each pivot scaled to 1).  Each row stays, up to its content, the one vector in
+the span of its input row and the pivot rows so far that vanishes at the
+pivot columns cleared in it, so its entries are bounded by minors (Cramer's
+rule); the oracle's forward pass, which clears below the pivot only, keeps
+the same bound.  A K whose m dense rows of C(n,2) cells, 8 bytes a cell,
+exceed the engine's _DENSE_BYTES is refused before any row is built.
 
 The named constructions are the standard test-bed subspaces: the two
 extremes, the borderline (2n-3)-dimensional subspace realized by the
@@ -26,12 +29,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from . import linalg
 from .bases import pair_rank, pair_unrank
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import FieldSpec, PrimeField, Rational, field_from_json, json_int
+from .linalg import FieldSpec, PrimeField, Rational, echelon, field_from_json, json_int, primitive
 
 _MASK64 = (1 << 64) - 1
 
@@ -138,7 +141,7 @@ def subspace_from_rows(n: int, rows, fieldspec: FieldSpec = Rational()) -> Subsp
         if len(row) != width:
             raise InvalidInputError(f"basis row of length {len(row)}, expected {width}")
     p = fieldspec.p if isinstance(fieldspec, PrimeField) else None
-    return SubspaceK(n, fieldspec, _echelon([_integral(row, p) for row in rows], p))
+    return SubspaceK(n, fieldspec, echelon([_integral(row, p) for row in rows], p))
 
 
 def _integral(row, p: int | None) -> list[int]:
@@ -153,39 +156,6 @@ def _integral(row, p: int | None) -> list[int]:
     if any(v.denominator % p == 0 for v in values):
         raise InvalidInputError(f"a denominator is not invertible mod {p}")
     return [v.numerator * pow(v.denominator, -1, p) for v in values]
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by its content, its first nonzero entry made positive."""
-    g = gcd(*row)
-    if g and next(filter(None, row)) < 0:
-        g = -g
-    return row if g in (0, 1) else [v // g for v in row]
-
-
-def _echelon(rows: list[list[int]], p: int | None) -> tuple[tuple[int, ...], ...]:
-    """The canonical integer basis of the span of some integer rows over Q (p None)
-    or F_p, by fraction-free Gauss-Jordan elimination (see the module docstring)."""
-    reduce = _primitive if p is None else (lambda row: [v % p for v in row])
-    a = [row for row in map(reduce, rows) if any(row)]
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if p is not None:
-            inv = pow(a[r][c], -1, p)
-            a[r] = [v * inv % p for v in a[r]]
-        prow, pc = a[r], a[r][c]
-        for i, row in enumerate(a):
-            f = row[c]
-            if f and i != r:
-                a[i] = reduce([pc * x - f * y for x, y in zip(row, prow)])
-        r += 1
-    return tuple(map(tuple, a[:r]))
 
 
 def kperp_basis(subspace: SubspaceK) -> list[list[int]]:
@@ -205,7 +175,7 @@ def kperp_basis(subspace: SubspaceK) -> list[list[int]]:
         vec[c] = lcm(*(row[pc] for row, pc in zip(subspace.int_basis, pivots) if row[c]))
         for row, pc in zip(subspace.int_basis, pivots):
             vec[pc] = -row[c] * vec[c] // row[pc]
-        out.append([v % modulus for v in vec] if modulus else _primitive(vec))
+        out.append([v % modulus for v in vec] if modulus else primitive(vec))
     return out
 
 

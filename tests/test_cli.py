@@ -230,6 +230,24 @@ def test_negative_oracle_cap_exits_2(capsys, extra):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("source, dims", [
+    (["--weyman", "6"], [6, 16, 21, 0]),
+    (["--random", "6", "9", "1", "--q-max", "2"], None),
+    # a 148800x465 matrix at q=2 with 930 entries: the oracle copies only the rows that hold one
+    (["--k-file", None, "--q-max", "2"], [434, 8960, 107415]),
+])
+def test_rational_oracle_matches_automatic_mode(tmp_path, capsys, source, dims):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"n": 30, "field": "rational", "basis": [[{"pair": [0, 1], "num": 1}]]}))
+    argv = ["hilbert", *[str(path) if a is None else a for a in source], "--format", "csv"]
+    code, auto, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, argv + ["--field", "rational"])
+    assert code == 0 and err == "" and out == auto
+    if dims is not None:
+        assert [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == dims
+
+
 def test_unlucky_only_prime_certifies_without_oracle(tmp_path, capsys):
     # an n = 5 K whose basis has the coefficients 7 and 14: mod 7 the ranks of
     # degrees 1 and 2 fall short, and later primes certify the rational ones
@@ -391,7 +409,7 @@ def test_cache_key_holds_no_cap_and_no_unread_prime(capsys, tmp_path):
     # a forced field reads no prime beyond its own
     same_stdout(tmp_path / "prime", weyman + ["--field", "prime"], [["--primes", "65537,7"], ["--primes", "65537,11"]])
     assert records(tmp_path / "prime") == 3
-    # the cap bounds Bareiss work, and a hit does none: a rational record written
+    # the cap bounds the oracle's work, and a hit does none: a rational record written
     # under the default cap answers a cap of 3, which fails without a cache
     rational = weyman + ["--field", "rational"]
     same_stdout(tmp_path / "rational", rational, [["--primes", "7"], ["--primes", "11", "--oracle-cap", "3"]])

@@ -391,7 +391,7 @@ def test_cache_key_separates_requests(tmp_path):
     # a forced field's rank reads no prime beyond its own: lists sharing the first prime share a key
     for field in (Rational(), PrimeField(p)):
         assert _cache_key(K, 3, field, DEFAULT_PRIMES) == _cache_key(K, 3, field, (p, 7)) == _cache_key(K, 3, field, (p,))
-    # the oracle cap is no part of the key: it bounds Bareiss work, and a hit does none
+    # the oracle cap is no part of the key: it bounds the oracle's work, and a hit does none
     cold = w_dim(K, 1, Rational(), cache=RankCache(str(tmp_path)))
     with pytest.raises(ResourceLimitError):
         w_dim(K, 1, Rational(), oracle_cap=0)
@@ -868,3 +868,16 @@ def test_peeled_blocks_get_no_sweep(monkeypatch):
     res = w_dim(weyman_K(8), 5)
     assert res.dim == 0 and res.certificate.mode == "single-prime"
     assert sum(pivots) > 0 and sweeps and not any(sweeps)
+
+
+def test_kernel_vectors_are_budgeted(monkeypatch):
+    import koszul.linalg as linalg
+
+    # mod 7 the Weyman n=8 blocks of degree 4 are short: the largest needs 3,041,472 bytes,
+    # and their kernel vectors 418,412 entries of 24 bytes, about 10 MB
+    K = weyman_K(8)
+    res = w_dim(K, 4, primes=[7])
+    assert res.dim == 330 and res.certificate.mode == "kernel-verified" and res.certificate.certified_exact
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", 6_000_000)
+    with pytest.raises(ResourceLimitError, match="kernel vectors"):
+        w_dim(K, 4, primes=[7])

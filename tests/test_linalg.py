@@ -19,7 +19,7 @@ from koszul.linalg import (
     SparseMatrix,
     _components,
     annihilates,
-    bareiss_rank,
+    echelon,
     is_prime,
     rank,
     rational_rank,
@@ -493,17 +493,48 @@ def test_non_integer_entries_rejected():
     assert a.to_dense_rows() == [[-3, 0], [0, 5]]
 
 
-def test_bareiss_agrees_with_plain_gauss():
-    for seed in range(15):
-        m = random_sparse(8, 8, 0.6, seed + 500)
-        dense = [[int(v) for v in row] for row in m.to_dense_rows()]
-        assert bareiss_rank(dense) == gauss_rank_rational(dense)
+def test_echelon_agrees_with_plain_gauss():
+    # the one exact engine, with and without its back pass, against plain Fraction and
+    # mod-p elimination: sparse matrices (single-entry rows among them), dense ones as in
+    # criterion 7, and Koszul matrices
+    from koszul.hilbert import restricted_delta2
+    from koszul.subspaces import random_K, subspace_from_rows, weyman_K
+
+    rng = random.Random(23)
+    matrices = [random_sparse(8, 8, 0.6, seed + 500) for seed in range(15)]
+    matrices += [random_sparse(rng.randint(4, 16), rng.randint(4, 16), 0.15, seed + 600) for seed in range(15)]
+    for _ in range(6):
+        nrows, ncols = rng.randint(5, 20), rng.randint(5, 20)
+        matrices.append(SparseMatrix(nrows, ncols, [(r, c, rng.choice([-1, 1]) * rng.randint(1, 9))
+                                                    for r in range(nrows) for c in range(ncols)]))
+    hyperplane = subspace_from_rows(5, [[int(i == j) for i in range(10)] for j in range(1, 10)])
+    koszul = [(weyman_K(5), 2), (hyperplane, 2)] + [(random_K(5, 6, s), 1) for s in (1, 2)]
+    matrices += [restricted_delta2(K, q) for K, top in koszul for q in range(top + 1)]
+    for m in matrices:
+        dense = m.to_dense_rows()
+        rational = gauss_rank_rational(dense)
+        assert rational_rank(m) == rational
+        for p in (None, 7, 2**31 - 1):
+            forward, reduced = echelon(dense, p, reduced=False), echelon(dense, p)
+            assert len(forward) == len(reduced) == (rational if p is None else gauss_rank_mod_p(dense, p)), (m.shape, p)
+            # the forward rows are an echelon basis of the same span
+            leads = [next(j for j, v in enumerate(row) if v) for row in forward]
+            assert leads == sorted(set(leads))
+            assert echelon([list(row) for row in forward], p) == reduced
 
 
-def test_rational_cap():
+def test_rational_cap(monkeypatch):
+    import koszul.linalg as linalg
+
     m = random_sparse(3, 10, 0.5, 1)
     with pytest.raises(ResourceLimitError):
         rational_rank(m, oracle_cap=5)
+    # the dense copy holds only the rows with an entry, and is budgeted before it is made
+    tall = SparseMatrix(10**6, 4, [(r, r // 1000 % 4, r // 1000 + 1) for r in range(0, 10**6, 1000)])
+    assert rational_rank(tall) == 4
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", 8 * 1000 * 4 - 1)
+    with pytest.raises(ResourceLimitError):
+        rational_rank(tall)
 
 
 def test_canonical_key_stability():
