@@ -98,9 +98,12 @@ class RunConfig:
             raise InvalidInputError("threads must be >= 1")
         if getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP) < 0:
             raise InvalidInputError("oracle cap must be >= 0")
+        q_max = getattr(args, "q_max", None)
+        if q_max is not None and q_max < 0:
+            raise InvalidInputError(f"need q_max >= 0, got {q_max}")
         return RunConfig(
             primes=primes,
-            q_max=getattr(args, "q_max", None),
+            q_max=q_max,
             fmt=getattr(args, "format", "table"),
             cache_dir=cache_dir,
             oracle_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP),

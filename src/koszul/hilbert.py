@@ -32,9 +32,8 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
 from .bases import multiply_rank_table, pair_rank, pair_unrank, reverse_rank_table, sym_dim, triple_unrank
-from .errors import InvalidInputError, KoszulError, ResourceLimitError
+from .errors import InvalidInputError, KoszulError
 from .linalg import (
     DEFAULT_ORACLE_CAP,
     DEFAULT_PRIMES,
@@ -44,6 +43,7 @@ from .linalg import (
     RankCertificate,
     Rational,
     SparseMatrix,
+    check_budget,
     rank,
 )
 from .subspaces import SubspaceK, kperp_basis
@@ -274,8 +274,7 @@ def _cache_key(subspace: SubspaceK, q: int, fieldspec: FieldSpec | None, primes)
     integer basis over K's field, q, and the field: "auto" with the primes, or the
     forced field's token alone (its rank reads no further prime, and the oracle cap
     only bounds work, which a hit does not do)."""
-    basis = SparseMatrix(subspace.effective_m, comb(subspace.n, 2),
-                         [(s, t, c) for s, kvec in enumerate(subspace.int_basis) for t, c in enumerate(kvec) if c])
+    basis = SparseMatrix.from_arrays(subspace.effective_m, comb(subspace.n, 2), *_entries(subspace))
     field = f"auto;{','.join(map(str, primes))}" if fieldspec is None else fieldspec.token()
     return f"{basis.canonical_key(subspace.field)};q={q};{field}"
 
@@ -315,9 +314,9 @@ def w_dim(
     The one user of ``cache``: a hit under :func:`_cache_key` that passes
     :func:`_answers` builds no matrix and runs no oracle, so it answers
     under any ``oracle_cap``; a miss is computed and stored.  Before either,
-    ResourceLimitError is raised when the matrix's index tables (n C(n+q, q+1)
-    cells) or its 2 nnz(K) C(n+q-1, q) triplets would exceed the modular
-    engine's _DENSE_BYTES at 8 bytes a cell.
+    the matrix goes to :func:`koszul.linalg.check_budget` as the larger of its
+    index tables (n C(n+q, q+1) cells) and its 2 nnz(K) C(n+q-1, q) triplets
+    (three cells each).
     """
     n = subspace.n
     fieldspec = _field(subspace, fieldspec)
@@ -326,9 +325,7 @@ def w_dim(
     bound = min(subspace.effective_m * sym_dim(n, q), image_dim)
     # restricted_delta2's index tables, and its triplets at three int64 cells each
     cells = max(n * comb(n + q, q + 1), 6 * sum(len(k) - k.count(0) for k in subspace.int_basis) * comb(n + q - 1, q))
-    if 8 * cells > linalg._DENSE_BYTES:
-        raise ResourceLimitError(f"W_{q} at n = {n} needs {8 * cells} bytes of index tables or triplets, "
-                                 f"over the budget of {linalg._DENSE_BYTES}")
+    check_budget(cells, f"the index tables or triplets of W_{q} at n = {n}")
     key = None if cache is None else _cache_key(subspace, q, fieldspec, primes)
     cert = None if cache is None else cache.get(key)
     if cert is None or not _answers(cert, bound, fieldspec, primes):

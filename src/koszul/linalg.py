@@ -47,7 +47,7 @@ sum, and the rint(x/p)*p that reduces it, is an integer below
 
 exact in float64 for every prime PrimeField accepts.  A component whose
 block (once pre-eliminated, see below) and workspace exceed _DENSE_BYTES
-raises ResourceLimitError first.
+is refused first by :func:`check_budget`, the one gate of every size refusal.
 
 A matrix may carry a candidate symmetry ``mirror`` = (row map pi, column
 map tau, column signs eps); :func:`koszul.hilbert.restricted_delta2` sets
@@ -135,6 +135,13 @@ _MARKOWITZ = 64             # largest Markowitz cost of a sparse pivot
 _ROUNDS = 64                # rounds of sparse pivots per pass (Weyman K up to n = 10 takes at most 44)
 _FEW = 32                   # a component stops on a round that takes under 1/_FEW of its live rows
 _DENSE_BYTES = 400_000_000  # one component's float64 block plus its workspace
+
+
+def check_budget(cells: int, what: str) -> None:
+    """ResourceLimitError when ``what``, ``cells`` cells of 8 bytes, would exceed
+    _DENSE_BYTES (read at each call): the one size refusal, made before it is built."""
+    if 8 * cells > _DENSE_BYTES:
+        raise ResourceLimitError(f"{what} needs {8 * cells} bytes, over the budget of {_DENSE_BYTES}")
 
 
 def is_prime(n: int) -> bool:
@@ -610,17 +617,15 @@ class _Layout:
 
 def _layout(rows: np.ndarray, cols: np.ndarray, comp: np.ndarray, select: np.ndarray) -> _Layout:
     """Blocks of the components labelled ``comp`` (see _components) built from the
-    triplets at (rows, cols); raises ResourceLimitError before any allocation when one
-    block that ``select`` keeps (a mask over the labels) and its workspace would exceed
-    _DENSE_BYTES."""
+    triplets at (rows, cols); before any allocation, the largest block that ``select``
+    keeps (a mask over the labels) goes to check_budget with its workspace,
+    w (h + 6 _PANEL) cells for a block of more than _BASE rows, else w h."""
     lr, nr = _local_index(rows, comp, select.size)
     lc, nc = _local_index(cols, comp, select.size)
     h, w = np.minimum(nr, nc), np.maximum(nr, nc)
-    need = 8 * w * (h + 6 * _PANEL * (h > _BASE)) * select  # block, and for big ones panel split and update scratch
-    if need.max() > _DENSE_BYTES:
-        k = int(need.argmax())
-        raise ResourceLimitError(f"component of shape {nr[k]}x{nc[k]} needs {need[k]} bytes "
-                                 f"for dense elimination, over the budget of {_DENSE_BYTES}")
+    cells = w * (h + 6 * _PANEL * (h > _BASE)) * select  # block, and for big ones panel split and update scratch
+    k = int(cells.argmax())
+    check_budget(int(cells[k]), f"the dense block of a {nr[k]}x{nc[k]} component")
     flip = (nr > nc)[comp]
     return _Layout(comp, np.where(flip, lc, lr), np.where(flip, lr, lc), h, w)
 
@@ -755,8 +760,8 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
     pivot mask and kernel vectors mod p, as entries (column, slot, residue) sorted by column,
     then slot: slot k holds the vector of the block's k-th free column, 1 there and minus that
     column of the reduced echelon form at the pivot columns (so it depends on the pivot set).
-    Raises ResourceLimitError before building a stack's vectors when all the vectors so far,
-    24 bytes an entry, would exceed _DENSE_BYTES."""
+    Before building a stack's vectors, all the vectors so far go to check_budget, three
+    cells an entry."""
     h, w = frame
     offset = np.cumsum(w) - w
     rank, pivot = np.zeros(h.size, dtype=np.int64), np.zeros(int(w.sum()), dtype=bool)
@@ -770,9 +775,7 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
             continue
         # a short block's vectors: rank + 1 entries of three int64 cells per free column
         entries += int(((stack.shape[2] - rank[batch]) * (rank[batch] + 1))[short].sum())
-        if 24 * entries > _DENSE_BYTES:
-            raise ResourceLimitError(f"kernel vectors of {entries} entries need {24 * entries} bytes, "
-                                     f"over the budget of {_DENSE_BYTES}")
+        check_budget(3 * entries, f"kernel vectors of {entries} entries")
         b, i = np.nonzero((piv >= 0) & short[:, None])  # the pivot rows of the short blocks
         start = offset[batch]
         pivot[start[b] + piv[b, i]] = True
@@ -1030,21 +1033,16 @@ def _kernel_certificate(matrix: SparseMatrix, comp: np.ndarray, bound: int | Non
 def rational_rank(matrix: SparseMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Exact rank over Q: the number of rows that :func:`echelon`, without its back pass,
     leaves of a dense copy of the rows that hold an entry.  Raises ResourceLimitError
-    over ``oracle_cap`` columns, or when that copy, at 8 bytes a cell, would exceed
-    _DENSE_BYTES, before anything is copied."""
+    over ``oracle_cap`` columns; before anything is copied, the copy, held rows times
+    columns cells, goes to check_budget."""
     if matrix.ncols > oracle_cap:
         raise ResourceLimitError(
             f"rational elimination capped at {oracle_cap} columns, matrix has {matrix.ncols}"
         )
     held, local = np.unique(matrix.rows, return_inverse=True)
-    need = 8 * held.size * matrix.ncols
-    if need > _DENSE_BYTES:
-        raise ResourceLimitError(f"{held.size} dense rows of {matrix.ncols} cells need {need} bytes, "
-                                 f"over the budget of {_DENSE_BYTES}")
-    dense = [[0] * matrix.ncols for _ in range(held.size)]
-    for r, c, v in zip(local.tolist(), matrix.cols.tolist(), matrix.value_list()):
-        dense[r][c] = v
-    return len(echelon(dense, None, reduced=False))
+    check_budget(held.size * matrix.ncols, f"the oracle's copy of {held.size} dense rows of {matrix.ncols} cells")
+    copy = SparseMatrix(held.size, matrix.ncols, _raw=(local, matrix.cols, matrix.idx, matrix.coeffs))
+    return len(echelon(copy.to_dense_rows(), None, reduced=False))
 
 
 def _within(value: int, bound: int | None) -> int:

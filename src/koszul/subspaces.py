@@ -14,8 +14,8 @@ each pivot scaled to 1).  Each row stays, up to its content, the one vector in
 the span of its input row and the pivot rows so far that vanishes at the
 pivot columns cleared in it, so its entries are bounded by minors (Cramer's
 rule); the oracle's forward pass, which clears below the pivot only, keeps
-the same bound.  A K whose m dense rows of C(n,2) cells, 8 bytes a cell,
-exceed the engine's _DENSE_BYTES is refused before any row is built.
+the same bound.  A K's m dense rows of C(n,2) cells go to
+:func:`koszul.linalg.check_budget` before any row is built.
 
 The named constructions are the standard test-bed subspaces: the two
 extremes, the borderline (2n-3)-dimensional subspace realized by the
@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from . import linalg
 from .bases import pair_rank, pair_unrank
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import FieldSpec, PrimeField, Rational, echelon, field_from_json, json_int, primitive
+from .linalg import FieldSpec, PrimeField, Rational, check_budget, echelon, field_from_json, json_int, primitive
 
 _MASK64 = (1 << 64) - 1
 
@@ -123,14 +122,11 @@ class SubspaceK:
 
 
 def _check_size(n: int, m: int) -> None:
-    """InvalidInputError unless n >= 2; ResourceLimitError when m dense rows of C(n,2)
-    cells, at 8 bytes a cell, would exceed the modular engine's _DENSE_BYTES."""
+    """InvalidInputError unless n >= 2; then K's m dense rows of C(n,2) cells go to
+    check_budget."""
     if n < 2:
         raise InvalidInputError(f"need n >= 2, got n={n}")
-    need = 8 * m * comb(n, 2)
-    if need > linalg._DENSE_BYTES:
-        raise ResourceLimitError(f"{m} dense rows of C({n},2) cells need {need} bytes, "
-                                 f"over the budget of {linalg._DENSE_BYTES}")
+    check_budget(m * comb(n, 2), f"a K of {m} dense rows of C({n},2) cells")
 
 
 def subspace_from_rows(n: int, rows, fieldspec: FieldSpec = Rational()) -> SubspaceK:

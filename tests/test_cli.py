@@ -177,6 +177,17 @@ def test_exit_code_resource(tmp_path, capsys):
     assert code == 0 and out == "q,dim_Wq,bound,certified\n0,19503,19503,true\n"
 
 
+@pytest.mark.parametrize("argv", [["--preset", "free", "--n", "3", "--q-max", "-2"],
+                                  ["--preset", "arrangement", "--h", "1,2", "--q-max", "-3"],
+                                  ["--b1", "5", "--q-max", "-1"]])
+def test_group_refuses_negative_q_max(capsys, argv):
+    code, out, err = run(capsys, ["group", *argv])
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "InvalidInputError", "message": f"need q_max >= 0, got {argv[-1]}"}
+
+
 def test_oversized_koszul_matrix_fails_fast(capsys):
     # W_q whose index tables or triplets exceed the dense budget fails before anything is
     # built: at n = 20, q = 17 the multiplication table alone is 3.5 * 10^11 cells, at

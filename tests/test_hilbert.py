@@ -371,6 +371,17 @@ def test_random_K_certified_without_oracle(monkeypatch):
     assert calls == []
 
 
+def test_cache_key_is_stable():
+    from koszul.hilbert import _cache_key
+
+    # literal keys, so that a cache written by an earlier version still answers
+    primes = ",".join(map(str, DEFAULT_PRIMES))
+    assert _cache_key(weyman_K(5), 2, None, DEFAULT_PRIMES) == (
+        f"54ece69adc5444f955bed9762f3815dcccede493472116c90cab5e25ee8d947e;q=2;auto;{primes}")
+    assert _cache_key(random_K(5, 6, 1, PrimeField(101)), 3, None, DEFAULT_PRIMES) == (
+        f"dce05161851e8b1dcc4f680cac80a47b306db7130dcbf40aa3ddfe2a0863b618;q=3;auto;{primes}")
+
+
 def test_cache_key_separates_requests(tmp_path):
     from koszul.hilbert import _cache_key
 
@@ -740,7 +751,7 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(297, 297)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"needs {need} bytes, over the budget of {need - 1}"):
         linalg.rank(matrix, PrimeField(p))
     assert calls == []
     # a 2x2 all-ones block beside it, the spare mask kept: the big block is of full
@@ -757,9 +768,29 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     assert calls == [(297, 297)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"needs {need} bytes, over the budget of {need - 1}"):
         linalg.rank(both, None)
     assert calls == []
+
+
+def test_koszul_matrix_is_budgeted(monkeypatch):
+    import koszul.linalg as linalg
+
+    # the matrix's index tables: n C(n+q, q+1) cells, all of the matrix of the zero K
+    need = 8 * 6 * comb(9, 4)
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
+    assert w_dim(zero_K(6), 3).dim == im_delta2_dim(6, 3)
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {need} bytes, over the budget of {need - 1}"):
+        w_dim(zero_K(6), 3)
+    # its triplets: 6 nnz(K) C(n+q-1, q) cells, more than any of its blocks needs
+    K = weyman_K(5)
+    need = 8 * 6 * sum(len(k) - k.count(0) for k in K.int_basis) * comb(6, 2)
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
+    assert w_dim(K, 2).dim == 0
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError, match=f"W_2 at n = 5 needs {need} bytes, over the budget of {need - 1}"):
+        w_dim(K, 2)
 
 
 def test_one_elimination_per_block_at_the_reference_prime(monkeypatch):
@@ -879,5 +910,6 @@ def test_kernel_vectors_are_budgeted(monkeypatch):
     res = w_dim(K, 4, primes=[7])
     assert res.dim == 330 and res.certificate.mode == "kernel-verified" and res.certificate.certified_exact
     monkeypatch.setattr(linalg, "_DENSE_BYTES", 6_000_000)
-    with pytest.raises(ResourceLimitError, match="kernel vectors"):
+    message = "kernel vectors of 260472 entries needs 6251328 bytes, over the budget of 6000000"
+    with pytest.raises(ResourceLimitError, match=message):
         w_dim(K, 4, primes=[7])

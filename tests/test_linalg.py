@@ -532,9 +532,30 @@ def test_rational_cap(monkeypatch):
     # the dense copy holds only the rows with an entry, and is budgeted before it is made
     tall = SparseMatrix(10**6, 4, [(r, r // 1000 % 4, r // 1000 + 1) for r in range(0, 10**6, 1000)])
     assert rational_rank(tall) == 4
-    monkeypatch.setattr(linalg, "_DENSE_BYTES", 8 * 1000 * 4 - 1)
-    with pytest.raises(ResourceLimitError):
+    need = 8 * 1000 * 4
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {need} bytes, over the budget of {need - 1}"):
         rational_rank(tall)
+
+
+def test_one_size_gate():
+    # _DENSE_BYTES is read in one place: linalg defines it and check_budget compares with it
+    import ast
+    from pathlib import Path
+
+    import koszul
+
+    def mentions(node):
+        return ((isinstance(node, ast.Name) and node.id == "_DENSE_BYTES")
+                or (isinstance(node, ast.Attribute) and node.attr == "_DENSE_BYTES")
+                or (isinstance(node, ast.Constant) and node.value == "_DENSE_BYTES"))
+
+    uses = set()
+    for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if any(map(mentions, ast.walk(stmt))):
+                uses.add((path.name, ast.unparse(stmt).split("(")[0].split(" =")[0]))
+    assert uses == {("linalg.py", "_DENSE_BYTES"), ("linalg.py", "def check_budget")}
 
 
 def test_canonical_key_stability():

@@ -350,5 +350,5 @@ def test_constructors_refuse_oversized_K(monkeypatch):
         monkeypatch.setattr(linalg, "_DENSE_BYTES", 8 * cells)
         make()
         monkeypatch.setattr(linalg, "_DENSE_BYTES", 8 * cells - 1)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=f"needs {8 * cells} bytes, over the budget of {8 * cells - 1}"):
             make()
