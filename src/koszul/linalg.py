@@ -104,6 +104,32 @@ echelon form is that of what is left, not of its full block.  A short one
 is eliminated again on its full rows.  Smaller blocks are stacked many to a
 call and are not pre-eliminated, so each keeps its start.
 
+What the pass leaves of those components then meets one round of structural
+pivots (_schur; Faugere and Lachartre, PASCO 2010, with the Schur complement
+of SpaSM: Bouillaguet and Delaplace, CASC 2016) on its entries of nonzero
+residue.  The columns are ordered by their count of such entries, ties by
+index; a row's leading column is its first in that order, and each leading
+column takes the lightest of its rows, then the first.  With its k pivots in
+the order of their leading columns, the block A they cut out is upper
+triangular (a pivot row has no entry before its leading column) with nonzero
+residues on its diagonal, so A is invertible mod p.  Writing a component as
+[[A, B], [C, D]], the other rows and columns after the pivots', the row
+operations that clear C leave [[A, B], [0, S]], S = D - C X, X = A^-1 B, so
+its rank mod p is k + rank S; only S is kept, budgeted and eliminated.  X is
+solved by levels, X_i = (B_i - sum_j A_ij X_j) / A_ii over the pivots j that
+i depends on (A_ij != 0, j != i), a pivot's level being 1 + the largest of
+theirs.  A pivot still at depth _ROUNDS - 1 goes back to the complement,
+and with it everything that depends on it, which is deeper; so the pivots
+kept are closed under dependency, a principal block of A, still triangular
+with a nonzero diagonal.  A component with no entry in B or in C needs no X
+(its complement is D) and no cap, so a chain is taken whole.  Every residue
+is below p < 2^31, so each product a*x is below p^2 < 2^62 and is reduced
+before it is summed: int64 is exact.  X and S are summed a chunk of rows at
+a time, so that no chunk expands to more products than the round's input,
+each chunk charged to check_budget with the entries kept beside it, three
+cells an entry.  A component that takes structural pivots counts as
+pre-eliminated: it is no start of the kernel certificate.
+
 No rank function reads a cache.  :class:`RankCache` stores whole certificates
 for its one caller, :func:`koszul.hilbert.w_dim`, which keys them by K.
 """
@@ -725,6 +751,114 @@ def _pre_eliminate(rows: np.ndarray, cols: np.ndarray, residues: np.ndarray, own
     return [np.concatenate((x[keep], y[fresh])) for x, y in zip((rows, cols, residues), left)], taken
 
 
+def _sums(direct, terms, x, limit: int, p: int, width: int, live: int):
+    """Sparse rows mod p: row r is the sum of its ``direct`` entries (r, c, v) and, for each
+    of its ``terms`` (r, k, a), of a times row k of ``x`` = (start, count, col, val), x's
+    entries sorted by row; direct and terms sorted by row.  The rows are summed a chunk at a
+    time, cut between rows so that a chunk holds at most ``limit`` entries and products (or
+    one row), so each chunk's sums are final; before a chunk is expanded, its products and
+    the ``live`` entries kept beside them, with the sums so far, go to check_budget at three
+    cells an entry.  Returns the nonzero sums as triplets sorted by row, then column."""
+    (dr, dc, dv), (tr, tk, ta), (start, count, xc, xv) = direct, terms, x
+    each = count[tk]
+    height = int(max(dr.max(initial=-1), tr.max(initial=-1))) + 1
+    bound = np.cumsum(np.bincount(dr, minlength=height) + np.bincount(tr, each, height).astype(np.int64))
+    out, lo = [np.zeros((3, 0), dtype=np.int64)], 0
+    while lo < height:
+        hi = max(int(np.searchsorted(bound, (bound[lo - 1] if lo else 0) + limit, "right")), lo + 1)
+        (d0, d1), (t0, t1) = np.searchsorted(dr, (lo, hi)), np.searchsorted(tr, (lo, hi))
+        n = each[t0:t1]
+        total, kept = int(n.sum()), live + sum(part.shape[1] for part in out)
+        check_budget(3 * (kept + total), f"a Schur chunk of {total} products beside {kept} entries")
+        at = np.repeat(start[tk[t0:t1]] - (np.cumsum(n) - n), n) + np.arange(total)
+        r = np.concatenate((dr[d0:d1], np.repeat(tr[t0:t1], n)))
+        c = np.concatenate((dc[d0:d1], xc[at]))
+        v = np.concatenate((dv[d0:d1], np.repeat(ta[t0:t1], n) * xv[at] % p))  # each product below p^2 < 2^62
+        key = r * width + c
+        order = np.argsort(key)
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        s = np.add.reduceat(v[order], first) % p if first.size else v
+        at = order[first[s != 0]]
+        out.append(np.stack((r[at], c[at], s[s != 0])))
+        lo = hi
+    return np.concatenate(out, axis=1)
+
+
+def _schur(rows: np.ndarray, cols: np.ndarray, residues: np.ndarray, owner: np.ndarray, big: np.ndarray, p: int):
+    """One round of structural pivots mod p on the triplets of the components ``big`` marks,
+    ``owner`` giving the component of each row (see the module docstring): a triangular A,
+    X = A^-1 B level by level, and the complement S = D - C X, each summed by _sums.
+    Returns the triplets (rows, cols, residues) left, the complement of a component that
+    took pivots and those of any other as given, and the pivots taken in each component."""
+    ncomp, width = big.size, int(cols.max(initial=0)) + 1
+    work = big[owner[rows]] & (residues != 0)
+    r, c, v = rows[work], cols[work], residues[work]
+    if not r.size:
+        return (rows, cols, residues), np.zeros(ncomp, dtype=np.int64)
+    height, limit = int(r.max()) + 1, r.size
+
+    def index(piv):
+        """Each entry's pivot among piv by its row, and by its column; -1 for none."""
+        krow, kcol = np.full(height, -1), np.full(width, -1)
+        krow[r[piv]] = kcol[c[piv]] = np.arange(piv.size)
+        return krow[r], kcol[c]
+
+    # columns by weight, ties stable; each row's leading entry is its first in that order,
+    # and each leading column takes the lightest of its rows, then the first
+    pos = np.empty(width, dtype=np.int64)
+    pos[np.argsort(np.bincount(c, minlength=width), kind="stable")] = np.arange(width)
+    order = np.lexsort((pos[c], r))
+    head = order[np.flatnonzero(np.diff(r[order], prepend=-1))]
+    head = head[np.lexsort((r[head], np.bincount(r)[r[head]], c[head]))]
+    piv = head[np.flatnonzero(np.diff(c[head], prepend=-1))]
+    # only where both B and C hold entries is X needed; there a pivot's level is 1 + the
+    # largest level among those it depends on, and one at depth _ROUNDS - 1 returns
+    kr, kc = index(piv)
+    need = [np.bincount(owner[r[part]], minlength=ncomp) > 0 for part in ((kr >= 0) & (kc < 0), (kr < 0) & (kc >= 0))]
+    capped = (need[0] & need[1])[owner[r[piv]]]
+    dep = np.flatnonzero((kr >= 0) & (kc >= 0) & (kr != kc))
+    dep = dep[capped[kr[dep]]]
+    dep = dep[np.argsort(kr[dep], kind="stable")]
+    i, j, level = kr[dep], kc[dep], np.zeros(piv.size, dtype=np.int64)
+    first = np.flatnonzero(np.diff(i, prepend=-1))
+    for _ in range(_ROUNDS - 1 if i.size else 0):
+        deeper = np.maximum.reduceat(level[j] + 1, first)
+        if np.array_equal(deeper, level[i[first]]):
+            break
+        level[i[first]] = deeper
+    keep = ~capped | (level < _ROUNDS - 1)
+    # the pivots kept, those that need X first and in level order
+    order = np.argsort(np.where(capped, level, _ROUNDS)[keep], kind="stable")
+    piv, level, nx = piv[keep][order], level[keep][order], int((capped & keep).sum())
+    kr, kc = index(piv)
+    taken = np.bincount(owner[r[piv]], minlength=ncomp)
+    # X_i = (B_i - sum_j A[i, j] X_j) / A[i, i], one level at a time
+    empty = np.zeros(0, dtype=np.int64)
+    x = (np.zeros(piv.size, dtype=np.int64), np.zeros(piv.size, dtype=np.int64), empty, empty)  # start, count, col, val
+    inv = np.array([pow(y, -1, p) for y in v[piv[:nx]].tolist()], dtype=np.int64)
+    rows_x = np.flatnonzero((kr >= 0) & (kr < nx) & (kc != kr))  # B and A off its diagonal, where X is needed
+    rows_x = rows_x[np.argsort(kr[rows_x], kind="stable")]
+    k_x = kr[rows_x]
+    ends = np.searchsorted(level[:nx], np.arange(int(level[:nx].max(initial=-1)) + 1), "right")
+    for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+        s, e = np.searchsorted(k_x, (lo, hi))
+        here = rows_x[s:e]
+        a = kc[here] >= 0
+        k, col, val = _sums((kr[here[~a]], c[here[~a]], v[here[~a]]), (kr[here[a]], kc[here[a]], -v[here[a]] % p),
+                            x, limit, p, width, x[2].size)
+        count = x[1].copy()
+        count[lo:hi] = np.bincount(k - lo, minlength=hi - lo)
+        x = (np.cumsum(count) - count, count, np.concatenate((x[2], col)), np.concatenate((x[3], val * inv[k] % p)))
+    # S = D - C X on the other rows of the components that took pivots
+    rest = np.flatnonzero((kr < 0) & (taken > 0)[owner[r]])
+    rest = rest[np.argsort(r[rest], kind="stable")]
+    a = kc[rest] >= 0
+    left = _sums((r[rest[~a]], c[rest[~a]], v[rest[~a]]), (r[rest[a]], kc[rest[a]], -v[rest[a]] % p),
+                 x, limit, p, width, x[2].size)
+    keep = (taken == 0)[owner[rows]]
+    return [np.concatenate((y[keep], z)) for y, z in zip((rows, cols, residues), left)], taken
+
+
 def _orbit_representatives(matrix: SparseMatrix, vals: np.ndarray, p: int, comp: np.ndarray) -> np.ndarray | None:
     """The component whose rank each component takes under the matrix's candidate
     ``mirror``: itself when the mirror fixes it, the first of two it swaps; None when
@@ -795,11 +929,12 @@ def _echelons(lay: _Layout, residues: np.ndarray, p: int, frame: tuple, select: 
 def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
     """The one elimination at the reference prime p: the mirror checked on the full
     pattern, then each block it selects eliminated once without the spare rows, a block of
-    more than _BASE rows once pre-eliminated (see the module docstring); ``comp`` labels
-    the components of the exact pattern.  Returns (rank, short, kept, trial, pivot,
-    vectors): each component's rank mod p, its sparse pivots included (a skipped one takes
-    its partner's); the short ones, below their full block's rows; those eliminated, with
-    no sparse pivot, as their full block minus some rows, where the kernel certificate
+    more than _BASE rows once pre-eliminated, then reduced to its Schur complement (see
+    the module docstring); ``comp`` labels the components of the exact pattern.  Returns
+    (rank, short, kept, trial, pivot, vectors): each component's rank mod p, its sparse and
+    structural pivots included (a skipped one takes its partner's); the short ones, below
+    their full block's rows; those eliminated, with no pivot of either kind, as their
+    full block minus some rows, where the kernel certificate
     starts, and of these the ones that lost rows; with ``certify``, those short blocks'
     pivots and vectors (_echelons) among the full blocks' columns, else nothing."""
     vals, ncomp = matrix.residues(p), int(comp.max()) + 1
@@ -813,8 +948,10 @@ def _reference(matrix: SparseMatrix, p: int, comp: np.ndarray, certify: bool):
     h, w = np.minimum(nr, nc), np.maximum(nr, nc)  # each component's full block
     keep = np.asarray(matrix.spare)  # the triplets of the rows not spare (all if the mask is malformed)
     keep = ~keep[matrix.rows] if keep.dtype == bool and keep.shape == (matrix.nrows,) else np.ones(comp.size, dtype=bool)
-    (rows, cols, left), taken = _pre_eliminate(matrix.rows[keep], matrix.cols[keep], vals[keep], node[:matrix.nrows],
-                                               select & (h > _BASE), p)
+    big = select & (h > _BASE)
+    (rows, cols, left), taken = _pre_eliminate(matrix.rows[keep], matrix.cols[keep], vals[keep], node[:matrix.nrows], big, p)
+    (rows, cols, left), more = _schur(rows, cols, left, node[:matrix.nrows], big, p)
+    taken = taken + more
     lay = _layout(rows, cols, node[rows], select)
     # a pre-eliminated block is never a start, so it needs neither the sweep nor vectors
     rank, pivot, vectors = _echelons(lay, left, p, (h * (certify & (taken == 0)), w), select)

@@ -13,7 +13,8 @@ one value of which may then be changed.  Two last draws plant, around
 blocks of more than _BASE rows, what the pass at the first prime takes as
 sparse pivots before the dense engine: single-entry rows and columns, and
 columns of weight 2 to 8 and chains that only merges take; some planted
-values are multiples of 7 or 11.  The invariants:
+values are multiples of 7 or 11.  The Schur round is also fuzzed alone, mod 7, on
+draw_case components with planted zero residues.  The invariants:
 
 - with no bound or a valid one, the rank is certified exact and true;
 - a false bound raises InvalidInputError or returns a rank no larger than
@@ -284,6 +285,48 @@ def test_merge_fuzz():
             assert rank(matrix, PrimeField(p)).rank == modular, (matrix.to_dense_rows(), p)
         lie(rng, matrix)
         check(matrix, true, primes, draw_bound(rng, true, matrix.shape))
+
+
+def test_schur_round_fuzz(monkeypatch):
+    # the Schur round alone, mod 7, on the components of draw_case blocks, some entries
+    # then made multiples of 7 (zero residues, never pivots) and some taken out (so that
+    # pivots depend on pivots), and some components left unmarked; in each component the
+    # pivots it takes plus the rank mod 7 of what it leaves there are the component's rank
+    # mod 7, also under depth caps low enough to send pivots back to the complement
+    import koszul.linalg as linalg
+    from koszul.linalg import _components, _schur
+
+    rng, p = random.Random(20261027), 7
+    for _ in range(300):
+        matrix = draw_case(rng, rng.randint(1, 5))[0]
+        entries = [(r, c, v * rng.choice((1, 1, 7))) for r, c, v in zip(matrix.rows.tolist(), matrix.cols.tolist(),
+                                                                   matrix.value_list()) if rng.random() < 0.8]
+        # and 0 to 2 full rows, which join the blocks and fill the complement beyond the
+        # round's input, so that it is summed in chunks
+        extra = rng.choice((0, 0, 1, 2))
+        entries += [(matrix.nrows + i, c, rng.choice((1, -1, 2, 7))) for i in range(extra) for c in range(matrix.ncols)]
+        if not entries:
+            continue
+        planted = SparseMatrix(matrix.nrows + extra, matrix.ncols, entries)
+        comp = _components(planted.rows, planted.cols, planted.nrows)
+        owner = np.zeros(planted.nrows, dtype=np.int64)
+        owner[planted.rows] = comp
+        big = np.array([rng.random() < 0.8 for _ in range(int(comp.max()) + 1)])
+        monkeypatch.setattr(linalg, "_ROUNDS", rng.choice((1, 2, 3, 64)))
+        (rows, cols, res), taken = _schur(planted.rows, planted.cols, planted.residues(p), owner, big, p)
+        assert ((res >= 0) & (res < p)).all()
+        for k in range(big.size):
+            if not big[k]:
+                assert taken[k] == 0
+            here, there = owner[planted.rows] == k, owner[rows] == k
+            index = {r: i for i, r in enumerate(sorted(set(planted.rows[here].tolist())))}
+            place = {c: j for j, c in enumerate(sorted(set(planted.cols[here].tolist())))}
+            full, left = ([[0] * len(place) for _ in index] for _ in range(2))
+            for r, c, v in zip(planted.rows[here].tolist(), planted.cols[here].tolist(), planted.residues(p)[here].tolist()):
+                full[index[r]][place[c]] = v
+            for r, c, v in zip(rows[there].tolist(), cols[there].tolist(), res[there].tolist()):
+                left[index[r]][place[c]] = v
+            assert taken[k] + gauss_rank_mod_p(left, p) == gauss_rank_mod_p(full, p), (full, taken[k], left)
 
 
 def test_projected_start_cases():

@@ -582,27 +582,32 @@ def test_weyman_mirrored_ranks_match_full_elimination(p, n_max):
 def test_weyman_mirror_eliminates_half_the_blocks(monkeypatch):
     import koszul.linalg as linalg
 
+    # the large components the pass selects, those it pre-eliminates and hands on to the
+    # dense engine: the Schur round takes some of them whole, so no _block_rank call counts
     n, q, p = 8, 5, DEFAULT_PRIMES[0]
     matrix = restricted_delta2(weyman_K(n), q)
     large = int((full_layout(matrix, p).h > linalg._BASE).sum())
-    calls = []
-    inner = linalg._block_rank
+    selected = []
+    inner = linalg._schur
 
-    def counting(block, *args, **kwargs):
-        calls.append(block.shape)
-        return inner(block, *args, **kwargs)
+    def counting(rows, cols, residues, owner, big, p):
+        selected.append(int(big.sum()))
+        return inner(rows, cols, residues, owner, big, p)
 
-    monkeypatch.setattr(linalg, "_block_rank", counting)
+    monkeypatch.setattr(linalg, "_schur", counting)
     res = w_dim(weyman_K(n), q)
     assert res.dim == 0 and res.certified and res.certificate.mode == "single-prime"
-    assert large > 20 and 0 < len(calls) <= large // 2 + 1
+    assert large > 20 and selected and 0 < selected[0] <= large // 2 + 1
+    # without the mirror every large component is selected
+    selected.clear()
+    assert full_rank(matrix, p) == im_delta2_dim(n, q) - hilbert_bound(n, q) and selected == [large]
     # n = 9, q = 4 has a middle block the reversal maps onto itself
-    calls.clear()
+    selected.clear()
     matrix = restricted_delta2(weyman_K(9), 4)
     weights = orbit_weights(matrix, p)
     assert weights.tolist().count(1) == 1
     assert w_dim(weyman_K(9), 4).dim == hilbert_bound(9, 4)
-    assert 0 < len(calls) <= int((full_layout(matrix, p).h > linalg._BASE).sum()) // 2 + 1
+    assert selected and 0 < selected[0] <= int((full_layout(matrix, p).h > linalg._BASE).sum()) // 2 + 1
 
 
 def test_tampered_mirror_is_refused():
@@ -732,7 +737,9 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     from koszul.errors import ResourceLimitError
 
     p = DEFAULT_PRIMES[0]
-    # one 756x504 component, 504x504 projected, 297x297 once 207 sparse pivots are taken
+    # one 756x504 component, 504x504 projected, 297x297 once 207 sparse pivots are taken,
+    # and 174x174 once the Schur round takes 123 structural pivots: only that complement
+    # is budgeted and eliminated
     matrix = restricted_delta2(random_K(6, 9, 2), 3)
     assert full_layout(matrix, p).h.size == 1
     calls = []
@@ -743,12 +750,12 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
         return inner(block, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_block_rank", counting)
-    need = 8 * 297 * (297 + 6 * linalg._PANEL)  # the pre-eliminated projected block and its workspace
+    need = 8 * 174 * (174 + 6 * linalg._PANEL)  # the projected block's complement and its workspace
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     with pytest.raises(ResourceLimitError):
         full_rank(matrix, p)
     assert calls == []
-    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(297, 297)]
+    assert linalg.rank(matrix, PrimeField(p)).rank == 504 and calls == [(174, 174)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
     with pytest.raises(ResourceLimitError, match=f"needs {need} bytes, over the budget of {need - 1}"):
@@ -765,7 +772,7 @@ def test_budget_is_checked_on_projected_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need)
     cert = linalg.rank(both, None)
     assert cert.mode == "kernel-verified" and cert.rank == 505 and cert.verified_vectors == 1
-    assert calls == [(297, 297)]
+    assert calls == [(174, 174)]
     calls.clear()
     monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
     with pytest.raises(ResourceLimitError, match=f"needs {need} bytes, over the budget of {need - 1}"):
@@ -913,3 +920,34 @@ def test_kernel_vectors_are_budgeted(monkeypatch):
     message = "kernel vectors of 260472 entries needs 6251328 bytes, over the budget of 6000000"
     with pytest.raises(ResourceLimitError, match=message):
         w_dim(K, 4, primes=[7])
+
+
+def test_schur_round_changes_no_certificate(monkeypatch):
+    import numpy as np
+
+    import koszul.linalg as linalg
+
+    # the certificate JSON of every case, with the Schur round on and with it returning its
+    # input untouched, under primes [7], [65537] and the defaults: mod 7 Weyman's K and
+    # the random K fall short and go to the kernel certificate
+    cases = [(weyman_K(n), q) for n in range(4, 9) for q in range(n - 2)]
+    cases += [(hyperplane_K(n), q) for n in range(5, 8) for q in range(n - 2)]
+    cases += [(random_K(7, 11, s), 4) for s in (1, 2)]
+    pivots, inner = [], linalg._schur
+
+    def noting(*args):
+        left, taken = inner(*args)
+        pivots.append(int(taken.sum()))
+        return left, taken
+
+    def certificates():
+        return [json.dumps(w_dim(K, q, primes=primes).certificate.to_json(), sort_keys=True)
+                for primes in ([7], [65537], None) for K, q in cases]
+
+    monkeypatch.setattr(linalg, "_schur", noting)
+    on = certificates()
+    assert sum(pivots) > 0
+    monkeypatch.setattr(linalg, "_schur", lambda rows, cols, residues, owner, big, p: (
+        (rows, cols, residues), np.zeros(big.size, dtype=np.int64)))
+    assert certificates() == on
+    assert any('"kernel-verified"' in cert for cert in on) and any('"single-prime"' in cert for cert in on)

@@ -301,27 +301,45 @@ def timed_rank(matrix):
         tracemalloc.stop()
 
 
-def test_over_budget_component_fails_fast():
+def scattered(n, per_row, rng):
+    """The n x n 0/1 matrix with ``per_row`` entries in each row, at columns drawn by rng
+    (fewer where two draws fall together)."""
+    pairs = sorted({(i, rng.randrange(n)) for i in range(n) for _ in range(per_row)})
+    rows, cols = np.array(pairs).T
+    return SparseMatrix.from_arrays(n, n, rows, cols, np.ones(rows.size, dtype=np.int64))
+
+
+def test_over_budget_component_fails_fast(monkeypatch):
+    import koszul.linalg as linalg
+
     # arrow: one full row and one full column make a single n x n component with
     # 2n - 1 nonzeros; two structural pivots take all of it, so no block is built
     out, seconds, peak = timed_rank(arrow(20_000, 1))
     assert isinstance(out, RankCertificate) and out.rank == 2
     assert seconds < 1.0 and peak < 50 * 2**20
-    # two full rows and two full columns leave no entry alone in its row or column,
-    # every entry has a Markowitz cost of at least n - 1, so no merge takes one either,
-    # and the dense block would need over 3 GB
+    # two full rows and two full columns: no Markowitz pivot, every entry costs at least
+    # n - 1, but the Schur round takes a pivot in a head row and one in the rows below,
+    # and its complement, of rank 0, has no entry left
     out, seconds, peak = timed_rank(arrow(20_000, 2))
+    assert isinstance(out, RankCertificate) and out.rank == 2
+    assert seconds < 1.0 and peak < 50 * 2**20
+    # three entries a row at random: the complement the round leaves is a 464x247
+    # component, whose dense block is refused before it is built
+    matrix = scattered(4000, 3, random.Random(5))
+    need = 8 * 464 * (247 + 6 * linalg._PANEL)
+    monkeypatch.setattr(linalg, "_DENSE_BYTES", need - 1)
+    out, seconds, peak = timed_rank(matrix)
     assert isinstance(out, ResourceLimitError)
+    assert str(out) == f"the dense block of a 464x247 component needs {need} bytes, over the budget of {need - 1}"
     assert seconds < 1.0 and peak < 50 * 2**20
 
 
 def test_peeling_is_bounded():
-    # a chain: each merge would rewrite the pivot row of the one before, so a round
-    # takes the two ends and few pivots for its rows, which stops the pass; the rest is
-    # over the budget at once
+    # a chain is triangular: the Schur round takes all of it, with no X (no entry lies
+    # outside its pivot rows and columns), however deep its levels
     n = 20_000
     out, seconds, _ = timed_rank(chain(np.ones(n), np.ones(n - 1)))
-    assert isinstance(out, ResourceLimitError) or out.rank == n
+    assert isinstance(out, RankCertificate) and out.rank == n
     assert seconds < 1.0
 
 
